@@ -115,12 +115,8 @@ class ProgramGenerator:
             assert self._take(1)
             return self._join(["while", "(", self.expr(1), ")", self.block(depth - 1)])
         if r < 0.74 and self.remaining >= 6:
-            # hold back one leaf each for the condition and the update target
-            self.remaining -= 2
             init = self._var_decl() if self.rng.random() < 0.6 else self._join([self._assign_expr(), ";"])
-            self.remaining += 1
             cond = self.expr(1)
-            self.remaining += 1
             update = self._assign_expr()
             return self._join(["for", "(", init, cond, ";", update, ")", self.block(depth - 1)])
         if r < 0.86:
