@@ -41,9 +41,9 @@ SR_DIM = 128
 SR_FALLBACK_SEED = 42
 
 # large-program: programs of several hundred to ~1.5k leaves, grid CSVs.
-# The largest size appears twice so that p90 falls among several near-equal
-# requests rather than on one.
-LP_STRATA_LEAVES = (250, 300, 360, 440, 540, 700, 1480, 1480)
+# The middle and the largest sizes appear twice, so that p50 and p90 each
+# fall among four near-equal requests rather than between two sizes.
+LP_STRATA_LEAVES = (250, 300, 360, 540, 540, 700, 1480, 1480)
 LP_VARIANTS = 6
 LP_RECORDINGS = 4
 LP_PICK_RECORDINGS = 2
@@ -51,10 +51,11 @@ LP_FIXATIONS = 200
 LP_DIM = 128
 LP_TABLE_KEYS = 3000
 
-# cohort-analysis: labelled unit vectors of dim 3 * 128.
-CA_COHORTS = 48
-CA_PICK = 6
-CA_SIZE = 100
+# cohort-analysis: labelled unit vectors of dim 3 * 128. One cohort is drawn
+# from each size stratum, so that p50 falls on the middle size and p90 on
+# the largest rather than on the noise between cohorts of one size.
+CA_STRATA_SIZES = (70, 85, 100, 120, 140)
+CA_VARIANTS = 8
 CA_DIM = 384
 CA_LABELS = ("defuse", "linear", "scan")
 CA_TEST_EVERY = 5
@@ -724,13 +725,12 @@ def padding_keys(rng: Rng, count: int, taken: set[str]) -> list[str]:
 # --- workloads --------------------------------------------------------------------
 
 
-def ca_cohort(c: int) -> dict:
+def ca_cohort(cohort_id: str, size: int) -> dict:
     """A labelled cohort: unit vectors scattered around one direction per label."""
-    cohort_id = f"ca-c{c}"
     rng = Rng(key_seed("cohort-analysis", cohort_id))
     centers = [[rng.gauss() for _ in range(CA_DIM)] for _ in CA_LABELS]
     vectors = []
-    for i in range(CA_SIZE):
+    for i in range(size):
         label_index = i % len(CA_LABELS)
         raw = [x + CA_NOISE * rng.gauss() for x in centers[label_index]]
         norm = math.sqrt(math.fsum(x * x for x in raw))
@@ -826,8 +826,10 @@ def _large_program(rng: Rng | None, out: Path) -> dict:
 
 def _cohort_analysis(rng: Rng | None, out: Path) -> dict:
     requests = []
-    for c in _select(rng, range(CA_COHORTS), CA_PICK):
-        cohort = ca_cohort(c)
+    cohorts = [ca_cohort(f"ca-s{s}v{v}", size)
+               for s, size in enumerate(CA_STRATA_SIZES)
+               for v in _select(rng, range(CA_VARIANTS), 1)]
+    for cohort in cohorts:
         directory = out / cohort["id"]
         directory.mkdir()
         files, labels = [], []

@@ -2,21 +2,26 @@
 
     python3 perfbench/run.py --workload short-reads --seed 1 --seconds 30 --trace 0
 
-The run writes its seeded inputs (``gen.py``, in a child process), times the
-program's set-up, warms up with one pass over the run's requests, then
-sends requests back to back for ``--seconds`` seconds, finishing the pass it
-is in. Every output is checked against ``digests.json``. The last line of
-standard output is one JSON object; with ``--trace 0`` it holds the
-end-to-end metrics, with ``--trace 1`` the per-layer metrics of a traced
-run. A readable summary goes to standard error. See README.md.
+The run writes its seeded inputs (``gen.py``, in a child process), warms up
+with one pass over the run's requests, then sends requests back to back for
+``--seconds`` seconds, finishing the pass it is in and timing the program's
+set-up once before each pass. Each time is normalised to the host's speed
+with a probe that uses nothing from the program (see ``Probe``). Every
+output is checked against ``digests.json``. The last line of standard output is one JSON object; with
+``--trace 0`` it holds the end-to-end metrics, with ``--trace 1`` the
+per-layer metrics of a traced run. A readable summary goes to standard
+error. See README.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
+import importlib
 import json
 import os
+import random
 import resource
 import shutil
 import statistics
@@ -34,10 +39,15 @@ SRC = ROOT / "src"
 WORK = ROOT / ".perfbench_work"
 TRACE_OUT = ROOT / ".perfbench_out"
 
-SETUP_REPEATS = 7
-# The slower half of the passes then holds at least 100 requests, so that at
-# least ten lie beyond p90.
-MIN_REQUESTS = 200
+# At least ten samples then lie beyond p90.
+MIN_REQUESTS = 100
+# The probe's size, and its time on the host the benchmark was tuned on in
+# that host's fast state: normalised times are in that host's fast-state
+# seconds.
+PROBE_LOOP = 10_000
+PROBE_POOL = 50_000
+PROBE_READS = 2_000
+REF_PROBE_S = 0.0014
 DM_TOLERANCE = 1e-9
 
 
@@ -197,24 +207,6 @@ class Run:
             self.failures[f"output mismatch on {req['id']}"] += 1
         return elapsed
 
-    def passes(self, seconds: float, call=direct, wrap=None, min_requests: int = 0):
-        """Whole passes over the requests until ``seconds`` have elapsed and
-        at least ``min_requests`` were sent.
-
-        Returns per-request latencies and per-pass wall times.
-        """
-        latencies: list[float] = []
-        pass_times: list[float] = []
-        start = time.perf_counter()
-        while True:
-            pass_start = time.perf_counter()
-            for req in self.requests:
-                latencies.append(self.one(call, req, wrap))
-            now = time.perf_counter()
-            pass_times.append(now - pass_start)
-            if now - start >= seconds and len(latencies) >= min_requests:
-                return latencies, pass_times
-
 
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile: at least (1 - q) of samples lie at or above it."""
@@ -228,32 +220,6 @@ def generate(workload: str, seed: int, out: Path) -> tuple[dict, float]:
                     "--seed", str(seed), "--src", str(SRC), "--out", str(out)], check=True)
     elapsed = time.perf_counter() - start
     return json.loads((out / "manifest.json").read_text(encoding="utf-8")), elapsed
-
-
-SETUP_CODE = """
-import sys, time
-start = time.perf_counter()
-sys.path.insert(0, sys.argv[1])
-import eye2vec
-if sys.argv[2]:
-    eye2vec.load_table(sys.argv[2])
-elif int(sys.argv[3]):
-    eye2vec.EmbeddingTable(dim=int(sys.argv[3]), fallback_seed=int(sys.argv[4]))
-print(time.perf_counter() - start)
-"""
-
-
-def setup_times(manifest: dict, inputs: Path) -> list[float]:
-    """Fresh-interpreter set-up: import eye2vec, then build or load its table."""
-    table = str(inputs / manifest["table"]) if manifest["table"] else ""
-    dim = manifest["dim"] if manifest["fallback_seed"] is not None else 0
-    args = [sys.executable, "-c", SETUP_CODE, str(SRC), table, str(dim),
-            str(manifest["fallback_seed"] or 0)]
-    times = []
-    for _ in range(SETUP_REPEATS):
-        done = subprocess.run(args, check=True, capture_output=True, text=True)
-        times.append(float(done.stdout.strip().splitlines()[-1]))
-    return times
 
 
 def import_program():
@@ -274,6 +240,34 @@ def make_table(e2v, manifest: dict, inputs: Path):
     return None
 
 
+def _program_modules() -> dict:
+    return {name: module for name, module in sys.modules.items()
+            if name == "eye2vec" or name.startswith("eye2vec.")}
+
+
+def setup_once(manifest: dict, inputs: Path) -> float:
+    """Time the program's own set-up: import eye2vec afresh, then build or
+    load the workload's table.
+
+    numpy and the standard library stay loaded; they are not the program's.
+    The modules in use are put back afterwards, so the run goes on with the
+    objects it already holds, and the fresh copies are collected, so memory
+    does not grow with the number of passes.
+    """
+    in_use = _program_modules()
+    for name in in_use:
+        del sys.modules[name]
+    try:
+        start = time.perf_counter()
+        make_table(importlib.import_module("eye2vec"), manifest, inputs)
+        return time.perf_counter() - start
+    finally:
+        for name in _program_modules():
+            del sys.modules[name]
+        sys.modules.update(in_use)
+        gc.collect()
+
+
 HANDLERS = {"short-reads": Encode, "large-program": Encode, "cohort-analysis": Cohort}
 
 
@@ -281,33 +275,79 @@ def metric(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
 
-def end_to_end(run: Run, seconds: float, setup: list[float]) -> tuple[dict, dict]:
-    """Untraced passes; throughput and latency over the slower half of them.
+class Probe:
+    """Times a fixed piece of pure-Python work that uses nothing from the
+    program: an arithmetic loop that stays in the core's own caches, then
+    reads at random over a pool of small dicts (about 10 MB) that does not
+    fit in them.
 
-    The host this was tuned on alternates between a fast state and one up
-    to 1.8 times slower, in episodes of seconds to tens of seconds, and the
-    share of each differs from run to run. A figure over the whole run moves
-    with that share, and a median flips between the two states when the
-    share crosses one half. Every pass sends the same requests, so passes
-    can be ranked by time: the slower half stays in the slow state while
-    that state covers half the run, and runs agree.
+    Its time follows the speed the shared host gives this process at that
+    moment, and no change to eye2vec can move it. Neighbours on the host
+    slow cache-bound work more than arithmetic, so the probe holds both in
+    about equal parts.
     """
-    latencies, pass_times = run.passes(seconds, min_requests=MIN_REQUESTS)
-    per_pass = len(run.requests)
-    by_time = sorted(range(len(pass_times)), key=pass_times.__getitem__)
-    slower = by_time[len(by_time) // 2:]
-    slow_latencies = [lat for i in slower for lat in latencies[i * per_pass:(i + 1) * per_pass]]
-    info = {"requests": len(latencies), "passes": len(pass_times),
-            "slower_half_requests": len(slow_latencies),
-            "pass_rate_min": per_pass / max(pass_times),
-            "pass_rate_max": per_pass / min(pass_times),
-            "whole_run_requests_per_s": len(latencies) / sum(pass_times),
-            "setup_samples": setup}
+
+    def __init__(self):
+        rng = random.Random(0)
+        self.pool = [{"v": float(i)} for i in range(PROBE_POOL)]
+        self.order = rng.sample(range(PROBE_POOL), PROBE_READS)
+
+    def __call__(self) -> float:
+        start = time.perf_counter()
+        x = 0
+        for i in range(PROBE_LOOP):
+            x += i * i
+        total = 0.0
+        pool = self.pool
+        for i in self.order:
+            total += pool[i]["v"]
+        return time.perf_counter() - start
+
+
+def end_to_end(run: Run, seconds: float, manifest: dict, inputs: Path) -> tuple[dict, dict]:
+    """Untraced passes, each after one set-up sample, until ``seconds`` have
+    elapsed and at least MIN_REQUESTS were sent.
+
+    The probe is timed before the first set-up sample and after every
+    set-up sample and request, outside their time, so that each sits
+    between two probes. Each time is normalised to the host's speed around
+    it: multiplied by REF_PROBE_S over the mean of its two probes. The
+    shared host this was tuned on switches between a fast state and one up
+    to two times slower, within a second and over minutes; raw times move
+    with the share of slow time in a run, normalised ones much less. The
+    raw figures go to standard error.
+    """
+    latencies: list[float] = []
+    norm: list[float] = []
+    setup: list[float] = []
+    norm_setup: list[float] = []
+    probe = Probe()
+    probes = [probe()]
+
+    def normalised(elapsed: float) -> float:
+        probes.append(probe())
+        return elapsed * 2 * REF_PROBE_S / (probes[-2] + probes[-1])
+
+    start = time.perf_counter()
+    while time.perf_counter() - start < seconds or len(latencies) < MIN_REQUESTS:
+        setup.append(setup_once(manifest, inputs))
+        norm_setup.append(normalised(setup[-1]))
+        for req in run.requests:
+            latencies.append(run.one(direct, req))
+            norm.append(normalised(latencies[-1]))
+
+    info = {"requests": len(latencies), "passes": len(setup),
+            "raw_requests_per_s": len(latencies) / sum(latencies),
+            "raw_p50_ms": 1000 * statistics.median(latencies),
+            "raw_p90_ms": 1000 * percentile(latencies, 0.9),
+            "raw_setup_s": statistics.median(setup),
+            "probe_ms_p10_p50_p90": [round(1000 * percentile(probes, q), 3)
+                                              for q in (0.1, 0.5, 0.9)]}
     metrics = {
-        "setup_s": metric(statistics.median(setup), "s"),
-        "requests_per_s": metric(len(slow_latencies) / sum(pass_times[i] for i in slower), "1/s"),
-        "p50_ms": metric(1000 * statistics.median(slow_latencies), "ms"),
-        "p90_ms": metric(1000 * percentile(slow_latencies, 0.9), "ms"),
+        "setup_s": metric(statistics.median(norm_setup), "s"),
+        "norm_requests_per_s": metric(len(norm) / sum(norm), "1/s"),
+        "norm_p50_ms": metric(1000 * statistics.median(norm), "ms"),
+        "norm_p90_ms": metric(1000 * percentile(norm, 0.9), "ms"),
         "peak_rss_mb": metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
     return metrics, info
@@ -471,7 +511,6 @@ def main(argv: list[str] | None = None) -> int:
     inputs = WORK / f"{args.workload}-{os.getpid()}"
     try:
         manifest, generate_s = generate(args.workload, args.seed, inputs)
-        setup = [] if args.trace else setup_times(manifest, inputs)
         e2v = import_program()
         table = make_table(e2v, manifest, inputs)
         handler = HANDLERS[args.workload](e2v, manifest, inputs, table)
@@ -482,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
             metrics, info = traced(run, args.seconds, e2v, manifest, inputs, table,
                                    args.workload, args.seed)
         else:
-            metrics, info = end_to_end(run, args.seconds, setup)
+            metrics, info = end_to_end(run, args.seconds, manifest, inputs)
     finally:
         shutil.rmtree(inputs, ignore_errors=True)
         try:
