@@ -1,9 +1,15 @@
-"""Tokenizer and recursive-descent parser for a small Java-like language.
+"""Tokenizer and precedence-climbing parser for a small Java-like language.
 
 Every token and AST node carries an exact 1-based line/column span over the
 original text, which is what lets gaze positions be matched against syntax.
 Keywords and punctuation are parsed but never become tree leaves; the leaves
 are identifiers, literals, and type names.
+
+Statements and expressions nest at most ``MAX_NESTING`` deep: every
+statement and every expression counts one level while it is being parsed,
+so each block, branch or loop body, parenthesis, call argument, index and
+assignment right-hand side adds one. Deeper input raises ``ParseError``
+instead of exhausting the interpreter's stack.
 
 Parsing is a pure function; the returned tree is never mutated afterwards
 and is safe to share across threads.
@@ -11,24 +17,56 @@ and is safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import LexError, ParseError
 
 KEYWORDS = frozenset({"class", "int", "boolean", "void", "if", "else", "while", "for", "return"})
 BUILTIN_TYPES = frozenset({"int", "boolean", "void"})
+_WORD_KINDS = {"true": "BoolLit", "false": "BoolLit", **{word: word for word in KEYWORDS}}
 
-# Longest first so the scanner can try them in order.
+# Longest first, so that the scanner prefers "==" to "=".
 _OPERATORS = (
     "==", "!=", "<=", ">=", "&&", "||",
     "{", "}", "(", ")", "[", "]", ";", ",", ".",
     "=", "<", ">", "+", "-", "*", "/", "%", "!",
 )
 
+# Binding strength of the binary operators, all left-associative. Assignment
+# binds looser than all of them and associates to the right.
+_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
+# The deepest input this admits takes about 640 interpreter frames to parse,
+# well within Python's default recursion limit of 1000.
+MAX_NESTING = 64
+
 INT64_MAX = 2**63 - 1
 
 LEAF_KINDS = frozenset({"Identifier", "IntLit", "BoolLit", "StrLit", "TypeName"})
+
+# One alternative per token class, tried in order. ``\d`` matches what
+# str.isdecimal accepts and ``\w`` what str.isalnum accepts, plus "_"; a word
+# must in addition start with a letter or "_". A backslash in a string
+# escapes any character but the line end.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
+    r'|(?P<StrLit>"(?:[^"\\\n]|\\[^\n])*")'
+    r"|(?P<IntLit>\d+)"
+    r"|(?P<word>\w+)"
+    r'|(?P<unterminated>/\*|")'
+    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -53,6 +91,11 @@ class SourceSpan:
         return self.contains(other.start_line, other.start_col) and self.contains(
             other.end_line, other.end_col
         )
+
+
+def _cover(first: SourceSpan, last: SourceSpan) -> SourceSpan:
+    """The span from the start of ``first`` to the end of ``last``."""
+    return SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
 
 
 class Token(NamedTuple):
@@ -93,125 +136,58 @@ def tokenize(source_text: str) -> list[Token]:
     """Scan ``source_text`` into tokens; comments and whitespace are skipped
     but still advance line/column positions."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source_text)
-
-    def advance_over(text: str) -> None:
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = source_text[i]
-        if ch in " \t\r\n":
-            advance_over(ch)
-            i += 1
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for match in _TOKEN_RE.finditer(source_text):
+        group, lexeme, offset = match.lastgroup, match.group(), match.start()
+        col = offset - line_start + 1
+        if group == "skip":
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = offset + lexeme.rindex("\n") + 1
             continue
-        if source_text.startswith("//", i):
-            end = source_text.find("\n", i)
-            end = n if end == -1 else end
-            advance_over(source_text[i:end])
-            i = end
-            continue
-        if source_text.startswith("/*", i):
-            close = source_text.find("*/", i + 2)
-            if close == -1:
-                raise LexError(line, col, "unterminated block comment")
-            advance_over(source_text[i : close + 2])
-            i = close + 2
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n:
-                c = source_text[j]
-                if c == "\n":
-                    break
-                if c == "\\":
-                    if j + 1 >= n or source_text[j + 1] == "\n":
-                        break  # a backslash cannot escape the line end
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                j += 1
-            if j >= n or source_text[j] != '"':
-                raise LexError(start_line, start_col, "unterminated string literal")
-            lexeme = source_text[i : j + 1]
-            advance_over(lexeme)
-            tokens.append(
-                Token("StrLit", lexeme, SourceSpan(start_line, start_col, line, col - 1))
-            )
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source_text[j].isdigit():
-                j += 1
-            lexeme = source_text[i:j]
-            if int(lexeme) > INT64_MAX:
-                raise LexError(line, col, f"integer literal out of 64-bit signed range: {lexeme}")
-            tokens.append(_single_line_token("IntLit", lexeme, line, col))
-            col += len(lexeme)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source_text[j].isalnum() or source_text[j] == "_"):
-                j += 1
-            lexeme = source_text[i:j]
-            if lexeme in ("true", "false"):
-                kind = "BoolLit"
-            elif lexeme in KEYWORDS:
-                kind = lexeme
-            else:
-                kind = "Identifier"
-            tokens.append(_single_line_token(kind, lexeme, line, col))
-            col += len(lexeme)
-            i = j
-            continue
-        for op in _OPERATORS:
-            if source_text.startswith(op, i):
-                tokens.append(_single_line_token(op, op, line, col))
-                col += len(op)
-                i += len(op)
-                break
+        if group == "word" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            group, lexeme = "bad", lexeme[0]
+        if group == "bad":
+            raise LexError(line, col, f"unrecognized character {lexeme!r}")
+        if group == "unterminated":
+            what = "block comment" if lexeme == "/*" else "string literal"
+            raise LexError(line, col, f"unterminated {what}")
+        if group == "IntLit" and not _fits_int64(lexeme):
+            raise LexError(line, col, f"integer literal out of 64-bit signed range: {lexeme}")
+        if group == "word":
+            kind = _WORD_KINDS.get(lexeme, "Identifier")
         else:
-            raise LexError(line, col, f"unrecognized character {ch!r}")
+            kind = lexeme if group == "op" else group
+        tokens.append(Token(kind, lexeme, SourceSpan(line, col, line, col + len(lexeme) - 1)))
     return tokens
 
 
-def _single_line_token(kind: str, lexeme: str, line: int, col: int) -> Token:
-    return Token(kind, lexeme, SourceSpan(line, col, line, col + len(lexeme) - 1))
+def _fits_int64(digits: str) -> bool:
+    try:
+        return int(digits) <= INT64_MAX
+    except ValueError:  # more digits than int() converts, so far out of range
+        return False
 
 
 def parse(source_text: str) -> AstNode:
     """Parse ``source_text`` into a Program tree with spans on every node."""
     root = _Parser(tokenize(source_text)).parse_program()
-    for index, leaf in enumerate(iter_leaves(root)):
+    for index, leaf in enumerate(leaves(root)):
         leaf.leaf_index = index
     return root
 
 
-def iter_leaves(node: AstNode) -> Iterator[LeafToken]:
-    for child in node.children:
-        if isinstance(child, LeafToken):
-            yield child
-        else:
-            yield from iter_leaves(child)
-
-
 def leaves(root: AstNode) -> list[LeafToken]:
     """All leaves of ``root`` in source order."""
-    return list(iter_leaves(root))
-
-
-def _span_of(item: Child) -> SourceSpan:
-    return item.span
+    found: list[LeafToken] = []
+    stack: list[Child] = root.children[::-1]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, LeafToken):
+            found.append(item)
+        else:
+            stack += item.children[::-1]
+    return found
 
 
 class _Parser:
@@ -221,6 +197,8 @@ class _Parser:
         # Where the next construct should begin; used for error positions.
         self.error_line = 1
         self.error_col = 1
+        # Statements and expressions open at the current position.
+        self.depth = 0
 
     # token plumbing ---------------------------------------------------
 
@@ -249,17 +227,31 @@ class _Parser:
         found = f"'{tok.lexeme}'" if tok is not None else "end of input"
         raise ParseError(self.error_line, self.error_col, expected, found)
 
+    def _nest(self) -> None:
+        """Open one more statement or expression; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self._fail(f"at most {MAX_NESTING} nested statements and expressions")
+
     def _span_from(self, start_index: int) -> SourceSpan:
         if start_index >= self.pos:  # zero-token construct (empty program)
             return SourceSpan(1, 1, 1, 1)
-        first = self.tokens[start_index].span
-        last = self.tokens[self.pos - 1].span
-        return SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
+        return _cover(self.tokens[start_index].span, self.tokens[self.pos - 1].span)
 
     def _leaf(self, tok: Token, kind: str) -> LeafToken:
         return LeafToken(text=tok.lexeme, kind=kind, span=tok.span)
 
-    # grammar ----------------------------------------------------------
+    def _parse_list(self, parse_item: Callable[[], Child]) -> tuple[list[Child], Token]:
+        """Comma-separated items up to and including the closing ')'."""
+        items: list[Child] = []
+        if not self._at(")"):
+            items.append(parse_item())
+            while self._at(","):
+                self._advance()
+                items.append(parse_item())
+        return items, self._expect(")", "',' or ')'")
+
+    # declarations -----------------------------------------------------
 
     def parse_program(self) -> AstNode:
         start = self.pos
@@ -284,32 +276,15 @@ class _Parser:
     def parse_member(self) -> AstNode:
         start = self.pos
         type_ref = self.parse_type()
-        name = self._expect("Identifier", "member name")
-        name_leaf = self._leaf(name, "Identifier")
-        if self._at("("):
-            return self._parse_method_rest(start, type_ref, name_leaf)
-        init = None
-        if self._at("="):
-            self._advance()
-            init = self.parse_expr()
-        self._expect(";")
-        children: list[Child] = [type_ref, name_leaf] + ([init] if init is not None else [])
-        return AstNode("FieldDecl", self._span_from(start), children)
-
-    def _parse_method_rest(self, start: int, type_ref: AstNode, name_leaf: LeafToken) -> AstNode:
-        self._expect("(")
-        params: list[Child] = []
-        if not self._at(")"):
-            if not self._at_type_start():
-                self._fail("parameter type or ')'")
-            params.append(self.parse_param())
-            while self._at(","):
-                self._advance()
-                params.append(self.parse_param())
-        self._expect(")", "',' or ')'")
+        name_leaf = self._leaf(self._expect("Identifier", "member name"), "Identifier")
+        if not self._at("("):
+            return self._parse_initializer("FieldDecl", start, [type_ref, name_leaf])
+        self._advance()
+        if not (self._at(")") or self._at_type_start()):
+            self._fail("parameter type or ')'")
+        params, _ = self._parse_list(self.parse_param)
         body = self.parse_block()
-        children: list[Child] = [type_ref, name_leaf] + params + [body]
-        return AstNode("MethodDecl", self._span_from(start), children)
+        return AstNode("MethodDecl", self._span_from(start), [type_ref, name_leaf, *params, body])
 
     def parse_param(self) -> AstNode:
         start = self.pos
@@ -322,12 +297,20 @@ class _Parser:
         return tok is not None and (tok.kind in BUILTIN_TYPES or tok.kind == "Identifier")
 
     def parse_type(self) -> AstNode:
-        tok = self._peek()
-        if tok is None or not (tok.kind in BUILTIN_TYPES or tok.kind == "Identifier"):
+        if not self._at_type_start():
             self._fail("type")
         tok = self._advance()
-        leaf = self._leaf(tok, "TypeName")
-        return AstNode("TypeRef", tok.span, [leaf])
+        return AstNode("TypeRef", tok.span, [self._leaf(tok, "TypeName")])
+
+    def _parse_initializer(self, label: str, start: int, children: list[Child]) -> AstNode:
+        """The optional ``= expr`` and the ';' that end a field or variable."""
+        if self._at("="):
+            self._advance()
+            children.append(self.parse_expr())
+        self._expect(";")
+        return AstNode(label, self._span_from(start), children)
+
+    # statements -------------------------------------------------------
 
     def parse_block(self) -> AstNode:
         start = self.pos
@@ -344,19 +327,23 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             self._fail("statement")
+        self._nest()
         if tok.kind == "{":
-            return self.parse_block()
-        if tok.kind == "if":
-            return self.parse_if()
-        if tok.kind == "while":
-            return self.parse_while()
-        if tok.kind == "for":
-            return self.parse_for()
-        if tok.kind == "return":
-            return self.parse_return()
-        if self._at_var_decl_start():
-            return self.parse_var_decl()
-        return self.parse_expr_stmt()
+            stmt = self.parse_block()
+        elif tok.kind == "if":
+            stmt = self.parse_if()
+        elif tok.kind == "while":
+            stmt = self.parse_while()
+        elif tok.kind == "for":
+            stmt = self.parse_for()
+        elif tok.kind == "return":
+            stmt = self.parse_return()
+        elif self._at_var_decl_start():
+            stmt = self.parse_var_decl()
+        else:
+            stmt = self.parse_expr_stmt()
+        self.depth -= 1
+        return stmt
 
     def _at_var_decl_start(self) -> bool:
         tok = self._peek()
@@ -374,24 +361,19 @@ class _Parser:
         start = self.pos
         type_ref = self.parse_type()
         name = self._expect("Identifier", "variable name")
-        init = None
-        if self._at("="):
-            self._advance()
-            init = self.parse_expr()
-        self._expect(";")
-        children: list[Child] = [type_ref, self._leaf(name, "Identifier")]
-        if init is not None:
-            children.append(init)
-        return AstNode("VarDecl", self._span_from(start), children)
+        return self._parse_initializer("VarDecl", start, [type_ref, self._leaf(name, "Identifier")])
 
-    def parse_if(self) -> AstNode:
-        start = self.pos
-        self._expect("if")
+    def _parse_condition(self, keyword: str) -> Child:
+        """``keyword ( expr )``, the head of an if or a while."""
+        self._expect(keyword)
         self._expect("(")
         cond = self.parse_expr()
         self._expect(")")
-        then_branch = self.parse_stmt()
-        children: list[Child] = [cond, then_branch]
+        return cond
+
+    def parse_if(self) -> AstNode:
+        start = self.pos
+        children: list[Child] = [self._parse_condition("if"), self.parse_stmt()]
         if self._at("else"):
             self._advance()
             children.append(self.parse_stmt())
@@ -399,12 +381,8 @@ class _Parser:
 
     def parse_while(self) -> AstNode:
         start = self.pos
-        self._expect("while")
-        self._expect("(")
-        cond = self.parse_expr()
-        self._expect(")")
-        body = self.parse_stmt()
-        return AstNode("While", self._span_from(start), [cond, body])
+        children: list[Child] = [self._parse_condition("while"), self.parse_stmt()]
+        return AstNode("While", self._span_from(start), children)
 
     def parse_for(self) -> AstNode:
         start = self.pos
@@ -441,106 +419,64 @@ class _Parser:
         self._expect(";")
         return AstNode("ExprStmt", self._span_from(start), [expr])
 
-    # expressions, by precedence climbing ------------------------------
+    # expressions ------------------------------------------------------
 
     def parse_expr(self) -> Child:
-        return self.parse_assign()
-
-    def parse_assign(self) -> Child:
-        left = self.parse_or()
+        self._nest()
+        expr = self._parse_binary(1)
         if self._at("="):
-            if not (isinstance(left, AstNode) and left.label in ("Name", "FieldAccess", "Index")):
+            if not (isinstance(expr, AstNode) and expr.label in ("Name", "FieldAccess", "Index")):
                 self._fail("assignable expression (name, field access, or index) before '='")
             self._advance()
-            right = self.parse_assign()
-            return self._binary_node("Assign", left, right)
+            value = self.parse_expr()
+            expr = AstNode("Assign", _cover(expr.span, value.span), [expr, value])
+        self.depth -= 1
+        return expr
+
+    def _parse_binary(self, min_precedence: int) -> Child:
+        """Precedence climbing: operands joined by operators that bind at
+        least as tightly as ``min_precedence``."""
+        left = self._parse_operand()
+        while (tok := self._peek()) is not None and _PRECEDENCE.get(tok.kind, 0) >= min_precedence:
+            self._advance()
+            right = self._parse_binary(_PRECEDENCE[tok.kind] + 1)
+            left = AstNode(f"BinExpr:{tok.kind}", _cover(left.span, right.span), [left, right])
         return left
 
-    def _binary_level(self, sub, ops: tuple[str, ...], label_prefix: str = "BinExpr:") -> Child:
-        left = sub()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind not in ops:
-                return left
-            op = self._advance()
-            right = sub()
-            left = self._binary_node(f"{label_prefix}{op.kind}", left, right)
-
-    def _binary_node(self, label: str, left: Child, right: Child) -> AstNode:
-        lspan, rspan = _span_of(left), _span_of(right)
-        span = SourceSpan(lspan.start_line, lspan.start_col, rspan.end_line, rspan.end_col)
-        return AstNode(label, span, [left, right])
-
-    def parse_or(self) -> Child:
-        return self._binary_level(self.parse_and, ("||",))
-
-    def parse_and(self) -> Child:
-        return self._binary_level(self.parse_equality, ("&&",))
-
-    def parse_equality(self) -> Child:
-        return self._binary_level(self.parse_relational, ("==", "!="))
-
-    def parse_relational(self) -> Child:
-        return self._binary_level(self.parse_additive, ("<", "<=", ">", ">="))
-
-    def parse_additive(self) -> Child:
-        return self._binary_level(self.parse_multiplicative, ("+", "-"))
-
-    def parse_multiplicative(self) -> Child:
-        return self._binary_level(self.parse_unary, ("*", "/", "%"))
-
-    def parse_unary(self) -> Child:
-        tok = self._peek()
-        if tok is not None and tok.kind in ("!", "-"):
-            op = self._advance()
-            operand = self.parse_unary()
-            ospan = _span_of(operand)
-            span = SourceSpan(op.span.start_line, op.span.start_col, ospan.end_line, ospan.end_col)
-            return AstNode(f"Unary:{op.kind}", span, [operand])
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Child:
-        expr = self.parse_primary()
+    def _parse_operand(self) -> Child:
+        """Prefix '!'/'-', then a primary with its calls, field accesses and indexes."""
+        prefixes: list[Token] = []
+        while (tok := self._peek()) is not None and tok.kind in ("!", "-"):
+            prefixes.append(self._advance())
+        expr = self._parse_primary()
         while True:
             if self._at("("):
                 self._advance()
-                args: list[Child] = [expr]
-                if not self._at(")"):
-                    args.append(self.parse_expr())
-                    while self._at(","):
-                        self._advance()
-                        args.append(self.parse_expr())
-                close = self._expect(")", "',' or ')'")
-                expr = self._postfix_node("Call", expr, args, close.span)
+                args, close = self._parse_list(self.parse_expr)
+                expr = AstNode("Call", _cover(expr.span, close.span), [expr, *args])
             elif self._at("."):
                 self._advance()
                 name = self._expect("Identifier", "field name")
-                expr = self._postfix_node(
-                    "FieldAccess", expr, [expr, self._leaf(name, "Identifier")], name.span
-                )
+                field_leaf = self._leaf(name, "Identifier")
+                expr = AstNode("FieldAccess", _cover(expr.span, name.span), [expr, field_leaf])
             elif self._at("["):
                 self._advance()
                 index = self.parse_expr()
                 close = self._expect("]")
-                expr = self._postfix_node("Index", expr, [expr, index], close.span)
+                expr = AstNode("Index", _cover(expr.span, close.span), [expr, index])
             else:
-                return expr
+                break
+        for op in reversed(prefixes):
+            expr = AstNode(f"Unary:{op.kind}", _cover(op.span, expr.span), [expr])
+        return expr
 
-    def _postfix_node(
-        self, label: str, head: Child, children: list[Child], end: SourceSpan
-    ) -> AstNode:
-        hspan = _span_of(head)
-        span = SourceSpan(hspan.start_line, hspan.start_col, end.end_line, end.end_col)
-        return AstNode(label, span, children)
-
-    def parse_primary(self) -> Child:
+    def _parse_primary(self) -> Child:
         tok = self._peek()
         if tok is None:
             self._fail("expression")
         if tok.kind == "Identifier":
             self._advance()
-            leaf = self._leaf(tok, "Identifier")
-            return AstNode("Name", tok.span, [leaf])
+            return AstNode("Name", tok.span, [self._leaf(tok, "Identifier")])
         if tok.kind in ("IntLit", "BoolLit", "StrLit"):
             self._advance()
             return self._leaf(tok, tok.kind)
@@ -554,16 +490,15 @@ class _Parser:
 
 # pretty printing ------------------------------------------------------
 
-_STMT_LABELS = frozenset({"Block", "VarDecl", "If", "While", "For", "Return", "ExprStmt"})
-
 
 def pretty_print(node: AstNode) -> str:
     """Render a parser-produced tree back to source text.
 
     Reparsing the output yields a structurally identical tree (labels and
-    leaf texts; spans will differ). Composite subexpressions are emitted
-    fully parenthesized, which keeps the rendering independent of operator
-    precedence.
+    leaf texts; spans will differ), as long as the output nests no deeper
+    than ``MAX_NESTING``. Composite subexpressions are emitted fully
+    parenthesized, which keeps the rendering independent of operator
+    precedence but adds one level of nesting per operator.
     """
     if node.label != "Program":
         raise ValueError("pretty_print expects a Program root")
@@ -652,18 +587,12 @@ def _print_expr(item: Child) -> str:
         return f"{op}({_print_expr(ch[0])})"
     if label == "Call":
         args = ", ".join(_print_expr(a) for a in ch[1:])
-        return f"{_receiver(ch[0])}({args})"
+        return f"{_print_expr(ch[0])}({args})"
     if label == "FieldAccess":
-        return f"{_receiver(ch[0])}.{ch[1].text}"
+        return f"{_print_expr(ch[0])}.{ch[1].text}"
     if label == "Index":
-        return f"{_receiver(ch[0])}[{_print_expr(ch[1])}]"
+        return f"{_print_expr(ch[0])}[{_print_expr(ch[1])}]"
     raise ValueError(f"not an expression label: {label}")
-
-
-def _receiver(item: Child) -> str:
-    # Postfix operators need a primary on the left; composites already
-    # self-parenthesize, so only their output is reused directly.
-    return _print_expr(item)
 
 
 def ast_equal(a: Child, b: Child) -> bool:

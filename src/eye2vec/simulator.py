@@ -43,20 +43,13 @@ def _midpoint(leaf: LeafToken) -> GridPos:
 def _declared_identifiers(root: AstNode) -> list[tuple[LeafToken, list[LeafToken]]]:
     """Declaration-name leaves paired with later same-text identifier leaves."""
     all_leaves = leaves(root)
-    declarations: list[LeafToken] = []
-
-    def walk(node: AstNode) -> None:
-        if node.label in _DECL_LABELS:
-            for child in node.children:
-                if isinstance(child, LeafToken) and child.kind == "Identifier":
-                    declarations.append(child)
-                    break
-        for child in node.children:
-            if isinstance(child, AstNode):
-                walk(child)
-
-    walk(root)
-    declarations.sort(key=lambda leaf: leaf.leaf_index)
+    # A declaration's only Identifier leaf child is its name: an initializer
+    # is an expression, where identifiers sit under a Name node.
+    declarations = [
+        leaf
+        for leaf in all_leaves
+        if leaf.kind == "Identifier" and leaf.parent.label in _DECL_LABELS
+    ]
     usable = []
     for decl in declarations:
         uses = [

@@ -55,6 +55,26 @@ class TestPaths:
         assert "error" in capsys.readouterr().err
 
 
+class TestHostileInput:
+    @pytest.fixture()
+    def deep_file(self, tmp_path):
+        path = tmp_path / "deep.mj"
+        body = "{" * 1000 + "x = " + "(" * 500 + "1" + ")" * 500 + ";" + "}" * 1000
+        path.write_text("class A { void f() { " + body + " } }\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("subcommand", ["paths", "vectorize"])
+    def test_deep_nesting_exits_1_with_one_line(self, deep_file, tmp_path, capsys, subcommand):
+        fixations = tmp_path / "fix.csv"
+        fixations.write_text("timestamp_ms,line,col,duration_ms\n0,1,1,100\n", encoding="utf-8")
+        argv = [subcommand, str(deep_file)] + ([str(fixations)] if subcommand == "vectorize" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "nested" in err
+        assert "Traceback" not in err
+
+
 class TestConvert:
     def test_pixel_to_grid(self, tmp_path, capsys):
         csv_in = tmp_path / "pix.csv"

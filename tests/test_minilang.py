@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eye2vec.errors import LexError, ParseError
 from eye2vec.minilang import (
+    MAX_NESTING,
     AstNode,
     LeafToken,
     SourceSpan,
@@ -14,6 +17,14 @@ from eye2vec.minilang import (
     tokenize,
 )
 from progen import generate_program
+
+
+# Binary operators from loosest to tightest binding, one level per entry.
+PRECEDENCE_LEVELS = [
+    ("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"), ("*", "/", "%"),
+]
+BINDING = {op: level for level, ops in enumerate(PRECEDENCE_LEVELS) for op in ops}
+BINARY_OPERATORS = list(BINDING)
 
 
 def span_tuple(span):
@@ -75,6 +86,7 @@ class TestTokenize:
             ("/* never closed", 1, 1),
             ("a & b", 1, 3),
             ("a | b", 1, 3),
+            ("x = ²;", 1, 5),
         ],
     )
     def test_lex_errors(self, source, line, col):
@@ -86,6 +98,21 @@ class TestTokenize:
         assert tokenize("9223372036854775807")[0].kind == "IntLit"
         with pytest.raises(LexError):
             tokenize("9223372036854775808")
+        # longer than int() converts by default
+        with pytest.raises(LexError) as exc:
+            tokenize("1" * 5000)
+        assert "out of 64-bit signed range" in exc.value.message
+
+    def test_unicode_digits(self):
+        # decimal digits of any script are integer literals ...
+        assert [(t.kind, t.lexeme) for t in tokenize("٣٤ x٣")] == [
+            ("IntLit", "٣٤"), ("Identifier", "x٣"),
+        ]
+        # ... but other digit characters are not, even inside a number
+        for source in ("3²", "²x"):
+            with pytest.raises(LexError) as exc:
+                tokenize(source)
+            assert exc.value.message == "unrecognized character '²'"
 
     def test_tabs_count_one_column(self):
         tokens = tokenize("\ta")
@@ -136,12 +163,17 @@ class TestParse:
         # field access and index are assignable
         parse("class A { void f() { a.b = 1; a[0] = 2; } }")
 
-    def test_operator_precedence(self):
-        root = parse("class A { int f() { return 1 + 2 * 3; } }")
+    @pytest.mark.parametrize("first,second", itertools.product(BINARY_OPERATORS, repeat=2))
+    def test_operator_precedence(self, first, second):
+        root = parse(f"class A {{ int f() {{ return a {first} b {second} c; }} }}")
         ret = root.children[0].children[1].children[-1].children[0]
         (top,) = ret.children
-        assert top.label == "BinExpr:+"
-        assert top.children[1].label == "BinExpr:*"
+        if BINDING[first] >= BINDING[second]:  # left-associative within a level
+            assert top.label == f"BinExpr:{second}"
+            assert top.children[0].label == f"BinExpr:{first}"
+        else:
+            assert top.label == f"BinExpr:{first}"
+            assert top.children[1].label == f"BinExpr:{second}"
 
     def test_assignment_right_associative(self):
         root = parse("class A { void f() { a = b = c; } }")
@@ -195,6 +227,57 @@ class TestLeaves:
         assert [l.leaf_index for l in lv] == list(range(len(lv)))
 
 
+def _method(body):
+    return "class A { int f() { " + body + " } }"
+
+
+def _deepest_expression(levels):
+    # Each level sits under six operators of rising precedence, which is the
+    # most interpreter frames one level of nesting can take.
+    return "a || a && a == a < a + a * (" * (levels - 1) + "a" + ")" * (levels - 1)
+
+
+class TestNesting:
+    def test_blocks_at_the_limit(self):
+        # the method body is not a statement; each block inside it is one
+        parse(_method("{" * MAX_NESTING + "}" * MAX_NESTING))
+        with pytest.raises(ParseError) as exc:
+            parse(_method("{" * (MAX_NESTING + 1) + "}" * (MAX_NESTING + 1)))
+        # at the first '{' past the limit
+        assert (exc.value.line, exc.value.col) == (1, 21 + MAX_NESTING)
+        assert exc.value.found == "'{'"
+
+    def test_expressions_at_the_limit(self):
+        # the return statement is one level, each expression one more
+        parse(_method(f"return {_deepest_expression(MAX_NESTING - 1)};"))
+        with pytest.raises(ParseError) as exc:
+            parse(_method(f"return {_deepest_expression(MAX_NESTING)};"))
+        assert exc.value.found == "'a'"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "return " + "(" * 500 + "a" + ")" * 500 + ";",
+            "{" * 1000 + "}" * 1000,
+            "a = " * 5000 + "a;",
+        ],
+        ids=["500-parentheses", "1000-blocks", "5000-assignments"],
+    )
+    def test_deep_nesting_raises_parse_error(self, body):
+        with pytest.raises(ParseError) as exc:
+            parse(_method(body))
+        assert exc.value.expected == f"at most {MAX_NESTING} nested statements and expressions"
+
+    def test_long_flat_chains_parse(self):
+        # prefix operators and binary chains are parsed in loops, not nested calls
+        minuses = parse(_method("return " + "-" * 5000 + "x;"))
+        assert [l.text for l in leaves(minuses)] == ["A", "int", "f", "x"]
+        terms = [f"t{i}" for i in range(20_000)]
+        lv = leaves(parse(_method("return " + " + ".join(terms) + ";")))
+        assert [l.text for l in lv] == ["A", "int", "f"] + terms
+        assert [l.leaf_index for l in lv] == list(range(len(lv)))
+
+
 def _assert_span_soundness(source, root):
     lines = source.split("\n")
     for leaf in leaves(root):
@@ -213,6 +296,8 @@ def _assert_parent_containment(node):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
+@example(seed=2345135)  # seeds whose for-loops once overran the generator's leaf budget
+@example(seed=25028778)
 def test_generated_program_properties(seed):
     source = generate_program(seed)
     root = parse(source)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eye2vec.errors import NotALeaf, SameLeaf
@@ -93,6 +93,8 @@ class TestPathBetween:
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
+@example(seed=2345135)  # seeds whose for-loops once overran the generator's leaf budget
+@example(seed=25028778)
 def test_symmetry_reverses_arrows(seed):
     root = parse(generate_program(seed))
     lv = leaves(root)
