@@ -8,13 +8,14 @@ different lengths stay comparable.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
 from .minilang import AstNode, LeafToken, leaves
-from .pathctx import PathContext, make_context, path_between
+from .pathctx import PathContext, context_at_depths, make_context, node_depths
 
 DEFAULT_SNAP_TOL_COLS = 3
 
@@ -134,29 +135,50 @@ def map_fixation(
     """
     if snap_tol_cols < 0:
         raise ValueError("snap_tol_cols must be >= 0")
+    return _map_fixation(fixation, _line_index(root), snap_tol_cols)
+
+
+_LineIndex = dict[int, tuple[list[int], list[LeafToken]]]
+
+
+def _line_index(root: AstNode) -> _LineIndex:
+    """Each line's leaves sorted by start column, with their start columns.
+
+    A leaf of a parsed tree lies on one line and overlaps no other leaf.
+    """
+    rows: dict[int, list[LeafToken]] = {}
+    for leaf in leaves(root):
+        rows.setdefault(leaf.span.start_line, []).append(leaf)
+    index: _LineIndex = {}
+    for line, row in rows.items():
+        row.sort(key=lambda leaf: leaf.span.start_col)
+        index[line] = ([leaf.span.start_col for leaf in row], row)
+    return index
+
+
+def _map_fixation(fixation: Fixation, index: _LineIndex, snap_tol_cols: int) -> MappedFixation:
+    """``map_fixation`` by bisecting the fixation's line in ``index``.
+
+    Only the last leaf starting at or before the column can contain it.
+    Failing that, it and the next leaf are the nearest on either side, and
+    the first of them wins a tie.
+    """
     pos = fixation.position
     if not isinstance(pos, GridPos):
         raise TypeError("fixation must be in grid mode; run the coordinate converter first")
-
+    starts, row = index.get(pos.line, ((), ()))
+    i = bisect_right(starts, pos.col)
     best: LeafToken | None = None
-    best_distance = 0
-    for leaf in leaves(root):
-        span = leaf.span
-        if span.contains(pos.line, pos.col):
-            return MappedFixation(fixation, leaf, "hit")
-        if span.start_line != pos.line:
-            continue
-        if pos.col < span.start_col:
-            distance = span.start_col - pos.col
-        else:
-            distance = pos.col - span.end_col
-        if distance <= snap_tol_cols and (
-            best is None
-            or distance < best_distance
-            or (distance == best_distance and span.start_col < best.span.start_col)
-        ):
-            best = leaf
-            best_distance = distance
+    best_distance = snap_tol_cols + 1
+    if i:
+        left = row[i - 1]
+        distance = pos.col - left.span.end_col
+        if distance <= 0:
+            return MappedFixation(fixation, left, "hit")
+        if distance < best_distance:
+            best, best_distance = left, distance
+    if i < len(row) and starts[i] - pos.col < best_distance:
+        best, best_distance = row[i], starts[i] - pos.col
     if best is not None:
         return MappedFixation(fixation, best, "snapped", snap_distance_cols=best_distance)
     return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
@@ -179,7 +201,8 @@ def build_profile(
     transitions) is returned as a valid, empty profile.
     """
     options = options or LinkOptions()
-    mapped = [map_fixation(f, root, options.snap_tol_cols) for f in recording.fixations]
+    index = _line_index(root)
+    mapped = [_map_fixation(f, index, options.snap_tol_cols) for f in recording.fixations]
 
     runs: list[list[LeafToken]]
     if options.chain == "skip":
@@ -192,6 +215,7 @@ def build_profile(
             else:
                 runs[-1].append(m.leaf)
 
+    depths = node_depths(root)
     counts: dict[PathContext, int] = {}
     for run in runs:
         for a, b in zip(run, run[1:]):
@@ -200,6 +224,6 @@ def build_profile(
                     continue
                 context = _self_transition_context(a)
             else:
-                context = path_between(root, a, b)
+                context = context_at_depths(a, b, depths[a.parent], depths[b.parent])
             counts[context] = counts.get(context, 0) + 1
     return TransitionProfile.from_counts(recording.recording_id, counts)

@@ -499,6 +499,11 @@ def pretty_print(node: AstNode) -> str:
     than ``MAX_NESTING``. Composite subexpressions are emitted fully
     parenthesized, which keeps the rendering independent of operator
     precedence but adds one level of nesting per operator.
+
+    It recurses once per tree level. That suffices for every tree whose
+    output can reparse, since such output nests at most ``MAX_NESTING``
+    deep; a far deeper tree, such as the left spine of a long flat sum, may
+    raise ``RecursionError``.
     """
     if node.label != "Program":
         raise ValueError("pretty_print expects a Program root")
@@ -596,14 +601,23 @@ def _print_expr(item: Child) -> str:
 
 
 def ast_equal(a: Child, b: Child) -> bool:
-    """Structural equality: labels, arity, and leaf kind/text. Spans ignored."""
-    if isinstance(a, LeafToken) or isinstance(b, LeafToken):
-        return (
-            isinstance(a, LeafToken)
-            and isinstance(b, LeafToken)
-            and a.kind == b.kind
-            and a.text == b.text
-        )
-    if a.label != b.label or len(a.children) != len(b.children):
-        return False
-    return all(ast_equal(x, y) for x, y in zip(a.children, b.children))
+    """Structural equality: labels, arity, and leaf kind/text. Spans ignored.
+
+    One walk over a stack of node pairs, so trees of any depth compare.
+    """
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if isinstance(x, LeafToken) or isinstance(y, LeafToken):
+            if not (
+                isinstance(x, LeafToken)
+                and isinstance(y, LeafToken)
+                and x.kind == y.kind
+                and x.text == y.text
+            ):
+                return False
+        elif x.label != y.label or len(x.children) != len(y.children):
+            return False
+        else:
+            pairs += zip(x.children, y.children)
+    return True

@@ -1,6 +1,7 @@
 """Independent brute-force oracles the tests check the library against.
 
-These deliberately use different mechanisms than the package code: the path
+These deliberately use different mechanisms than the package code: the
+mapping oracle scans every leaf of the tree for each fixation, the path
 oracle finds the LCA by set intersection over full parent chains, and the
 transition oracle recounts pairs with its own chain-walking loop keyed by
 oracle-computed context strings.
@@ -8,12 +9,45 @@ oracle-computed context strings.
 
 from __future__ import annotations
 
-from eye2vec.gaze import Recording
-from eye2vec.linker import LinkOptions, map_fixation
-from eye2vec.minilang import AstNode, LeafToken
+from eye2vec.gaze import Fixation, GridPos, Recording
+from eye2vec.linker import LinkOptions, MappedFixation
+from eye2vec.minilang import AstNode, LeafToken, leaves
 
 UP = "↑"
 DOWN = "↓"
+
+
+def oracle_map_fixation(fixation: Fixation, root: AstNode, snap_tol_cols: int) -> MappedFixation:
+    """Hit-test by a linear scan over every leaf of ``root``.
+
+    A leaf containing the position wins; otherwise the nearest leaf starting
+    on the same line within ``snap_tol_cols`` columns, ties toward the
+    smaller start column; otherwise the fixation is dropped.
+    """
+    pos = fixation.position
+    assert isinstance(pos, GridPos)
+    best: LeafToken | None = None
+    best_distance = 0
+    for leaf in leaves(root):
+        span = leaf.span
+        if span.contains(pos.line, pos.col):
+            return MappedFixation(fixation, leaf, "hit")
+        if span.start_line != pos.line:
+            continue
+        if pos.col < span.start_col:
+            distance = span.start_col - pos.col
+        else:
+            distance = pos.col - span.end_col
+        if distance <= snap_tol_cols and (
+            best is None
+            or distance < best_distance
+            or (distance == best_distance and span.start_col < best.span.start_col)
+        ):
+            best = leaf
+            best_distance = distance
+    if best is not None:
+        return MappedFixation(fixation, best, "snapped", snap_distance_cols=best_distance)
+    return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
 
 
 def _parent_chain(leaf: LeafToken) -> list[AstNode]:
@@ -49,7 +83,7 @@ def oracle_transition_counts(
     """
     runs: list[list[LeafToken]] = [[]]
     for fixation in recording.fixations:
-        mapped = map_fixation(fixation, root, options.snap_tol_cols)
+        mapped = oracle_map_fixation(fixation, root, options.snap_tol_cols)
         if mapped.leaf is None:
             if options.chain == "strict":
                 runs.append([])

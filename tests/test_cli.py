@@ -48,6 +48,15 @@ class TestPaths:
         expected = [c.context_string for c in all_path_contexts(root, 0, 2)]
         assert lines == expected
 
+    def test_long_sum(self, tmp_path):
+        terms = " + ".join(f"t{i}" for i in range(20_000))
+        src = tmp_path / "sum.mj"
+        src.write_text(f"class A {{ int f() {{ return {terms}; }} }}\n", encoding="utf-8")
+        out = tmp_path / "paths.txt"
+        assert main(["paths", str(src), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[-1] == "t19998,Name↑BinExpr:+↑BinExpr:+↓Name,t19999"
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.mj"
         bad.write_text("class {", encoding="utf-8")

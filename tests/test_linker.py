@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eye2vec.data import sample_source
 from eye2vec.gaze import Fixation, GridPos, PixelPos, Recording
 from eye2vec.linker import (
     LinkOptions,
@@ -14,7 +15,8 @@ from eye2vec.linker import (
 from eye2vec.minilang import leaves, parse
 from eye2vec.pathctx import path_between
 from eye2vec.simulator import Strategy, simulate
-from oracles import oracle_transition_counts
+from oracles import oracle_map_fixation, oracle_transition_counts
+from progen import generate_program
 
 SRC = "class A { int f() { count = other; other = count; } }"
 
@@ -229,3 +231,62 @@ class TestProfileJson:
         assert first.content_hash() == second.content_hash()
         different = TransitionProfile.from_counts("r", {ab: 1, ba: 2})
         assert first.content_hash() != different.content_hash()
+
+
+def _sources():
+    samples = st.sampled_from(["point", "accumulator", "lookup"]).map(sample_source)
+    generated = st.integers(0, 10**6).map(generate_program)
+    return st.one_of(samples, generated)
+
+
+def _positions(source, root):
+    """Grid positions anywhere around the text, on leaves, and halfway between two."""
+    lines = source.split("\n")
+    width = max(map(len, lines))
+    lv = leaves(root)
+    spots = [GridPos(l.span.start_line, (l.span.start_col + l.span.end_col) // 2) for l in lv]
+    for a, b in zip(lv, lv[1:]):
+        if a.span.start_line == b.span.start_line:
+            line, twice_mid = a.span.start_line, a.span.end_col + b.span.start_col
+            spots += [GridPos(line, twice_mid // 2), GridPos(line, (twice_mid + 1) // 2)]
+    # line 0, lines past the end, columns <= 0 and columns past the longest line
+    anywhere = st.builds(GridPos, st.integers(0, len(lines) + 2), st.integers(-3, width + 3))
+    return st.one_of(anywhere, st.sampled_from(spots))
+
+
+def _recording(data, source, root):
+    positions = data.draw(st.lists(_positions(source, root), max_size=40))
+    return Recording("r", [Fixation(250 * i, 200, pos) for i, pos in enumerate(positions)])
+
+
+class TestAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(source=_sources(), data=st.data())
+    def test_map_fixation_matches_linear_scan(self, source, data):
+        root = parse(source)
+        recording = _recording(data, source, root)
+        tol = data.draw(st.integers(0, max(map(len, source.split("\n"))) + 5), label="tol")
+        for fixation in recording.fixations:
+            got = map_fixation(fixation, root, tol)
+            want = oracle_map_fixation(fixation, root, tol)
+            # leaves compare by identity
+            assert (got.leaf, got.mapping, got.snap_distance_cols, got.drop_reason) == (
+                want.leaf, want.mapping, want.snap_distance_cols, want.drop_reason
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        source=_sources(),
+        data=st.data(),
+        tol=st.integers(0, 12),
+        chain=st.sampled_from(["skip", "strict"]),
+        self_transitions=st.sampled_from(["keep", "drop"]),
+    )
+    def test_build_profile_matches_oracle(self, source, data, tol, chain, self_transitions):
+        root = parse(source)
+        recording = _recording(data, source, root)
+        options = LinkOptions(snap_tol_cols=tol, self_transitions=self_transitions, chain=chain)
+        profile = build_profile(recording, root, options)
+        oracle_counts, oracle_total = oracle_transition_counts(recording, root, options)
+        assert profile.total_transitions == oracle_total
+        assert {c.context_string: e.count for c, e in profile.entries.items()} == oracle_counts

@@ -277,6 +277,20 @@ class TestNesting:
         assert [l.text for l in lv] == ["A", "int", "f"] + terms
         assert [l.leaf_index for l in lv] == list(range(len(lv)))
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            lambda first: "return " + "-" * 5000 + first + ";",
+            lambda first: "return " + first + "".join(f" + t{i}" for i in range(1, 20_000)) + ";",
+        ],
+        ids=["5000-prefix-minuses", "20000-term-sum"],
+    )
+    def test_ast_equal_on_deep_trees(self, body):
+        # the first leaf of the body is the deepest one
+        tree = parse(_method(body("t0")))
+        assert ast_equal(tree, parse(_method(body("t0"))))
+        assert not ast_equal(tree, parse(_method(body("u0"))))
+
 
 def _assert_span_soundness(source, root):
     lines = source.split("\n")

@@ -162,6 +162,17 @@ class TestAllPathContexts:
         for c in uncapped:
             assert (c.context_string in capped_set) == (c.node_count <= 3)
 
+    def test_long_sum_matches_oracle(self):
+        # a flat chain parses to a left spine as deep as the chain is long
+        terms = " + ".join(f"t{i}" for i in range(2000))
+        root = parse(f"class A {{ int f() {{ return {terms}; }} }}")
+        lv = leaves(root)
+        contexts = all_path_contexts(root, max_length=0, max_width=2)
+        pairs = [(i, j) for i in range(len(lv)) for j in range(i + 1, min(i + 3, len(lv)))]
+        assert len(contexts) == len(pairs)
+        for context, (i, j) in zip(contexts, pairs):
+            assert context.context_string == oracle_context_string(lv[i], lv[j])
+
     def test_deterministic(self, accumulator_root):
         first = [c.context_string for c in all_path_contexts(accumulator_root)]
         second = [c.context_string for c in all_path_contexts(accumulator_root)]
