@@ -16,21 +16,35 @@ from .compressor import EyeVector
 from .errors import DimMismatch, EmptyClass, InsufficientData, InvalidK, ZeroVectorError
 from .hashing import SplitMix64
 
-DEFAULT_MAX_ITERS = 100
+MAX_ITERS = 100
 
 
-def _as_vector(v) -> np.ndarray:
-    if isinstance(v, EyeVector):
-        return v.values
-    return np.asarray(v, dtype=np.float64)
+def _stack(vectors) -> np.ndarray:
+    """One float row per vector; ``vectors`` holds EyeVectors or arrays."""
+    rows = [np.asarray(v.values if isinstance(v, EyeVector) else v, dtype=np.float64)
+            for v in vectors]
+    shapes = {row.shape for row in rows}
+    if len(shapes) > 1:
+        raise DimMismatch(f"vectors have mixed shapes: {sorted(shapes)}")
+    return np.stack(rows)
+
+
+def _unit_rows(data: np.ndarray) -> np.ndarray:
+    """Each row divided by its own L2 norm.
+
+    The norm is taken per row with ``np.dot`` so that each row gets the same
+    bits as ``row / np.linalg.norm(row)``; a matrix-wide norm sums in another
+    order.
+    """
+    norms = np.sqrt([np.dot(row, row) for row in data])
+    if not np.all(norms):
+        raise ZeroVectorError("cannot normalize a zero vector")
+    return data / norms[:, None]
 
 
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between ``u`` and ``v``, clamped to [-1, 1]."""
-    u = _as_vector(u)
-    v = _as_vector(v)
-    if u.shape != v.shape:
-        raise DimMismatch(f"dims differ: {u.shape} vs {v.shape}")
+    u, v = _stack([u, v])
     if np.array_equal(u, v):
         if not np.any(u):
             raise ZeroVectorError("cosine similarity of a zero vector is undefined")
@@ -56,31 +70,25 @@ class DistanceMatrix:
 
 
 def distance_matrix(vectors: Sequence[EyeVector]) -> DistanceMatrix:
-    """Pairwise cosine distances (1 - similarity), computed once and mirrored."""
+    """Pairwise cosine distances (1 - similarity) from one product of the unit rows.
+
+    The upper triangle is mirrored, so the matrix is exactly symmetric with a
+    zero diagonal, and equal input vectors are exactly 0 apart.
+    """
     if len(vectors) < 2:
         raise ValueError("need at least two vectors")
-    n = len(vectors)
-    values = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = 1.0 - cosine_similarity(vectors[i], vectors[j])
-            values[i, j] = d
-            values[j, i] = d
+    data = _stack(vectors)
+    unit = _unit_rows(data)
+    upper = np.triu(1.0 - np.clip(unit @ unit.T, -1.0, 1.0), 1)
+    values = upper + upper.T
+    # Rows with equal bytes are equal vectors; adding 0.0 turns -0.0 into 0.0.
+    first: dict[bytes, int] = {}
+    group = np.array([first.setdefault((row + 0.0).tobytes(), i) for i, row in enumerate(data)])
+    values[group[:, None] == group] = 0.0
     return DistanceMatrix([v.recording_id for v in vectors], values)
 
 
-def _as_matrix(vectors) -> np.ndarray:
-    if len(vectors) > 0 and isinstance(vectors[0], EyeVector):
-        return np.stack([v.values for v in vectors])
-    return np.asarray(vectors, dtype=np.float64)
-
-
-def kmeans(
-    vectors,
-    k: int,
-    seed: int,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> list[int]:
+def kmeans(vectors, k: int, seed: int) -> list[int]:
     """Seeded k-means++ plus Lloyd iterations over L2-normalized vectors.
 
     On unit vectors, squared Euclidean distance orders points exactly like
@@ -89,7 +97,7 @@ def kmeans(
     (smallest index among ties). Assignments are deterministic given the
     inputs and seed.
     """
-    data = _as_matrix(vectors)
+    data = _stack(vectors)
     if data.ndim != 2:
         raise ValueError("vectors must form a 2-D matrix")
     n = data.shape[0]
@@ -105,7 +113,7 @@ def kmeans(
 
     assignments = np.full(n, -1, dtype=np.int64)
     previous_sse = math.inf
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         dist2 = _pairwise_sq_dists(data, centers)
         new_assignments = np.argmin(dist2, axis=1)
         own = dist2[np.arange(n), new_assignments]
@@ -178,30 +186,23 @@ class LabeledSet:
         if len({label for _, label in self.items}) < 2:
             raise InsufficientData("need at least two distinct labels")
 
-    def by_label(self) -> dict[str, list[EyeVector]]:
-        grouped: dict[str, list[EyeVector]] = {}
-        for vector, label in self.items:
-            grouped.setdefault(label, []).append(vector)
-        return grouped
+
+def _centroids(
+    unit: np.ndarray, labels: np.ndarray, keep: np.ndarray
+) -> list[tuple[str, np.ndarray]]:
+    """Normalized mean of each label's kept unit rows, labels in sorted order."""
+    names = sorted(set(labels[keep].tolist()))
+    means = np.stack([unit[keep & (labels == name)].mean(axis=0) for name in names])
+    return list(zip(names, _unit_rows(means)))
 
 
-def _normalize(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot normalize a zero vector")
-    return v / norm
-
-
-def _class_centroids(train: LabeledSet) -> list[tuple[str, np.ndarray]]:
-    grouped = train.by_label()
-    centroids = []
-    for label in sorted(grouped):
-        members = grouped[label]
-        if not members:
-            raise EmptyClass(f"label {label!r} has no training vectors")
-        normalized = np.stack([_normalize(v.values) for v in members])
-        centroids.append((label, _normalize(normalized.mean(axis=0))))
-    return centroids
+def _nearest(vector: EyeVector, centroids: list[tuple[str, np.ndarray]]) -> str:
+    best_label, best_score = None, -math.inf
+    for label, centroid in centroids:
+        score = cosine_similarity(vector, centroid)
+        if score > best_score:
+            best_label, best_score = label, score
+    return best_label
 
 
 def nearest_centroid_predict(train: LabeledSet, test: Sequence[EyeVector]) -> list[str]:
@@ -211,28 +212,25 @@ def nearest_centroid_predict(train: LabeledSet, test: Sequence[EyeVector]) -> li
     any of them cannot change a prediction. Ties go to the label that sorts
     first.
     """
-    centroids = _class_centroids(train)
-    predictions = []
-    for vector in test:
-        best_label, best_score = None, -math.inf
-        for label, centroid in centroids:
-            score = cosine_similarity(vector.values, centroid)
-            if score > best_score:
-                best_label, best_score = label, score
-        predictions.append(best_label)
-    return predictions
+    labels = np.array([label for _, label in train.items])
+    unit = _unit_rows(_stack([v for v, _ in train.items]))
+    centroids = _centroids(unit, labels, np.ones(len(labels), dtype=bool))
+    return [_nearest(vector, centroids) for vector in test]
 
 
 def leave_one_out(train: LabeledSet) -> float:
-    """Accuracy of nearest-centroid prediction with each item held out once."""
-    counts: dict[str, int] = {}
-    for _, label in train.items:
-        counts[label] = counts.get(label, 0) + 1
-    if any(c < 2 for c in counts.values()):
+    """Accuracy of nearest-centroid prediction with each item held out once.
+
+    Each fold masks one row out of the same unit matrix.
+    """
+    labels = np.array([label for _, label in train.items])
+    if np.any(np.unique(labels, return_counts=True)[1] < 2):
         raise InsufficientData("leave-one-out needs at least 2 items per label")
+    unit = _unit_rows(_stack([v for v, _ in train.items]))
+    keep = np.ones(len(labels), dtype=bool)
     correct = 0
     for i, (vector, label) in enumerate(train.items):
-        rest = LabeledSet(train.items[:i] + train.items[i + 1 :])
-        if nearest_centroid_predict(rest, [vector])[0] == label:
-            correct += 1
+        keep[i] = False
+        correct += _nearest(vector, _centroids(unit, labels, keep)) == label
+        keep[i] = True
     return correct / len(train.items)

@@ -40,6 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("paths", help="emit path contexts of a source file, one per line")
+    p.set_defaults(run=_cmd_paths)
     p.add_argument("src")
     p.add_argument("--max-length", type=_int_at_least(0), default=DEFAULT_MAX_LENGTH,
                    help="max nodes on a path, 0 = unlimited")
@@ -48,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("convert", help="convert pixel fixations to line/column")
+    p.set_defaults(run=_cmd_convert)
     p.add_argument("fixations")
     p.add_argument("--origin-x", type=float, required=True)
     p.add_argument("--origin-y", type=float, required=True)
@@ -56,10 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("link", help="build a transition profile from grid fixations")
+    p.set_defaults(run=_cmd_link)
     _add_link_flags(p)
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("vectorize", help="build an eye vector from grid fixations")
+    p.set_defaults(run=_cmd_vectorize)
     _add_link_flags(p)
     p.add_argument("--emb", help="embedding TSV; absent keys use the seeded fallback")
     p.add_argument("--dim", type=_int_at_least(1), default=None,
@@ -69,15 +73,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("compare", help="cosine similarity of two eye vectors")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("a")
     p.add_argument("b")
 
     p = sub.add_parser("cluster", help="k-means over eye vectors")
+    p.set_defaults(run=_cmd_cluster)
     p.add_argument("vectors", nargs="+")
     p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("predict", help="nearest-centroid label prediction")
+    p.set_defaults(run=_cmd_predict)
     p.add_argument("--train", required=True,
                    help="directory with eye-vector JSON files and a labels.tsv")
     p.add_argument("--test", nargs="*", default=[])
@@ -85,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print leave-one-out accuracy over the training set")
 
     p = sub.add_parser("simulate", help="generate synthetic fixation CSVs")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("src")
     p.add_argument("--strategy", choices=simulator.STRATEGY_NAMES, required=True)
     p.add_argument("--n", type=_int_at_least(2), required=True, help="fixations per recording")
@@ -137,25 +145,21 @@ def _embedding_table(args: argparse.Namespace, parser: argparse.ArgumentParser) 
                           fallback_seed=args.seed)
 
 
-def _cmd_paths(args: argparse.Namespace) -> int:
+def _cmd_paths(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     root = parse(Path(args.src).read_text(encoding="utf-8"))
     contexts = all_path_contexts(root, max_length=args.max_length, max_width=args.max_width)
     _emit("".join(c.context_string + "\n" for c in contexts), args.out)
     return 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     grid = gaze.FontGrid(args.origin_x, args.origin_y, args.char_width, args.line_height)
     recording = gaze.read_fixations(args.fixations, mode="pixel")
-    converted = gaze.convert_recording(recording, grid)
-    lines = [",".join(gaze.GRID_HEADER)]
-    for f in converted.fixations:
-        lines.append(f"{f.timestamp_ms},{f.position.line},{f.position.col},{f.duration_ms}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(gaze.format_fixations(gaze.convert_recording(recording, grid)), args.out)
     return 0
 
 
-def _cmd_link(args: argparse.Namespace) -> int:
+def _cmd_link(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     profile = _build_profile(args)
     if profile.is_empty:
         sys.stderr.write("EmptyProfile: no transitions could be formed from the fixations\n")
@@ -175,14 +179,14 @@ def _cmd_vectorize(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     a = read_eye_vector(args.a)
     b = read_eye_vector(args.b)
     print(analysis.cosine_similarity(a, b))
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
+def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     vectors = [read_eye_vector(p) for p in args.vectors]
     assignments = analysis.kmeans(vectors, k=args.k, seed=args.seed)
     for vector, cluster_index in zip(vectors, assignments):
@@ -221,7 +225,7 @@ def _cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     source_path = Path(args.src)
     root = parse(source_path.read_text(encoding="utf-8"))
     out_dir = Path(args.out)
@@ -241,32 +245,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.subcommand == "paths":
-            return _cmd_paths(args)
-        if args.subcommand == "convert":
-            return _cmd_convert(args)
-        if args.subcommand == "link":
-            return _cmd_link(args)
-        if args.subcommand == "vectorize":
-            return _cmd_vectorize(args, parser)
-        if args.subcommand == "compare":
-            return _cmd_compare(args)
-        if args.subcommand == "cluster":
-            return _cmd_cluster(args)
-        if args.subcommand == "predict":
-            return _cmd_predict(args, parser)
-        if args.subcommand == "simulate":
-            return _cmd_simulate(args)
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        return args.run(args, parser)
     except SystemExit as exc:  # parser.error() inside a handler
         return int(exc.code or 0)
-    except (Eye2vecError, ValueError) as exc:
+    except (Eye2vecError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    return 0
 
 
 def entrypoint() -> None:

@@ -63,7 +63,6 @@ class FontGrid:
 class Recording:
     recording_id: str
     fixations: list[Fixation] = field(default_factory=list)
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if not self.recording_id:
@@ -153,9 +152,8 @@ def _format_pixel(value: float) -> str:
     return repr(float(value))
 
 
-def write_fixations(recording: Recording, path: str | Path) -> None:
-    """Write a recording back to CSV; the mode follows the fixation positions."""
-    path = Path(path)
+def format_fixations(recording: Recording) -> str:
+    """CSV text of a recording; the mode follows the fixation positions."""
     grid_mode = all(f.is_grid for f in recording.fixations)
     pixel_mode = all(not f.is_grid for f in recording.fixations)
     if recording.fixations and not (grid_mode or pixel_mode):
@@ -170,13 +168,18 @@ def write_fixations(recording: Recording, path: str | Path) -> None:
                 f"{f.timestamp_ms},{_format_pixel(f.position.x_px)},"
                 f"{_format_pixel(f.position.y_px)},{f.duration_ms}"
             )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_fixations(recording: Recording, path: str | Path) -> None:
+    """Write a recording back to CSV; the mode follows the fixation positions."""
+    Path(path).write_text(format_fixations(recording), encoding="utf-8")
 
 
 def convert_recording(recording: Recording, grid: FontGrid) -> Recording:
     """Apply ``to_grid`` to every fixation of a pixel-mode recording."""
     converted = [to_grid(f, grid) for f in recording.fixations]
-    return Recording(recording.recording_id, converted, recording.label)
+    return Recording(recording.recording_id, converted)
 
 
 def read_labels(path: str | Path) -> dict[str, str]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .errors import LexError, ParseError
 
@@ -121,7 +121,7 @@ class LeafToken:
 class AstNode:
     label: str
     span: SourceSpan
-    children: list[Union["AstNode", LeafToken]]
+    children: list[AstNode | LeafToken]
     parent: "AstNode | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -129,7 +129,7 @@ class AstNode:
             child.parent = self
 
 
-Child = Union[AstNode, LeafToken]
+Child = AstNode | LeafToken
 
 
 def tokenize(source_text: str) -> list[Token]:

@@ -4,11 +4,17 @@ These deliberately use different mechanisms than the package code: the
 mapping oracle scans every leaf of the tree for each fixation, the path
 oracle finds the LCA by set intersection over full parent chains, and the
 transition oracle recounts pairs with its own chain-walking loop keyed by
-oracle-computed context strings.
+oracle-computed context strings. The analysis oracles take one ``np.dot`` per
+pair and group training vectors by label in a dict, fold by fold.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
+from eye2vec.errors import ZeroVectorError
 from eye2vec.gaze import Fixation, GridPos, Recording
 from eye2vec.linker import LinkOptions, MappedFixation
 from eye2vec.minilang import AstNode, LeafToken, leaves
@@ -106,3 +112,46 @@ def oracle_transition_counts(
             counts[key] = counts.get(key, 0) + 1
             total += 1
     return counts, total
+
+
+def _oracle_unit(values: np.ndarray) -> np.ndarray:
+    norm = math.sqrt(float(np.dot(values, values)))
+    if norm == 0.0:
+        raise ZeroVectorError("zero vector")
+    return values / norm
+
+
+def _oracle_cosine(u: np.ndarray, v: np.ndarray) -> float:
+    if np.array_equal(u, v):
+        return 1.0
+    value = float(np.dot(u, v)) / math.sqrt(float(np.dot(u, u)) * float(np.dot(v, v)))
+    return max(-1.0, min(1.0, value))
+
+
+def oracle_distance_matrix(rows: list[np.ndarray]) -> np.ndarray:
+    """1 - cosine similarity for every ordered pair, one ``np.dot`` per product."""
+    return np.array([[1.0 - _oracle_cosine(u, v) for v in rows] for u in rows])
+
+
+def oracle_nearest_centroid(
+    items: list[tuple[np.ndarray, str]], tests: list[np.ndarray]
+) -> list[str]:
+    """Mean of each label's unit vectors, normalized; the first sorted label wins ties."""
+    grouped: dict[str, list[np.ndarray]] = {}
+    for values, label in items:
+        grouped.setdefault(label, []).append(_oracle_unit(values))
+    centroids = [(label, _oracle_unit(np.mean(grouped[label], axis=0))) for label in sorted(grouped)]
+    predictions = []
+    for values in tests:
+        scores = [_oracle_cosine(values, centroid) for _, centroid in centroids]
+        predictions.append(centroids[scores.index(max(scores))][0])
+    return predictions
+
+
+def oracle_leave_one_out(items: list[tuple[np.ndarray, str]]) -> float:
+    """Regroup the remaining items anew for every held-out item."""
+    correct = sum(
+        oracle_nearest_centroid(items[:i] + items[i + 1 :], [values])[0] == label
+        for i, (values, label) in enumerate(items)
+    )
+    return correct / len(items)

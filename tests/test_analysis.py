@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_distance_matrix, oracle_leave_one_out, oracle_nearest_centroid
 
 from eye2vec.analysis import (
     LabeledSet,
@@ -248,3 +251,62 @@ class TestLeaveOneOut:
         ]
         with pytest.raises(InsufficientData):
             leave_one_out(LabeledSet(items))
+
+
+@st.composite
+def cohorts(draw):
+    """Rows and labels: 2-4 labels of 2-10 items each, dims 2-16.
+
+    Rows are fresh, exact duplicates of earlier rows or scaled copies of
+    them; small-integer components make exact prediction ties likely.
+    """
+    dim = draw(st.integers(2, 16))
+    sizes = draw(st.lists(st.integers(2, 10), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small_ints = draw(st.booleans())
+    rows = []
+    for _ in range(sum(sizes)):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "scaled"])) if rows else "fresh"
+        if kind == "fresh":
+            row = rng.integers(-2, 3, size=dim).astype(np.float64) if small_ints else rng.normal(size=dim)
+            if not row.any():
+                row[0] = 1.0
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if kind == "scaled":
+                row = row * draw(st.sampled_from([0.5, 2.0, 3.0, 1e3]))
+        rows.append(row)
+    labels = [f"L{k}" for k, size in enumerate(sizes) for _ in range(size)]
+    return rows, [labels[i] for i in rng.permutation(len(labels))]
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except ZeroVectorError:  # a class whose unit vectors cancel has no centroid
+        return ZeroVectorError
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(cohort=cohorts())
+    def test_distance_matrix(self, cohort):
+        rows, _ = cohort
+        values = distance_matrix([ev(f"v{i}", row) for i, row in enumerate(rows)]).values
+        assert np.max(np.abs(values - oracle_distance_matrix(rows))) <= 1e-12
+        assert np.array_equal(values, values.T)
+        assert not np.any(np.diag(values))
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            if np.array_equal(rows[i], rows[j]):
+                assert values[i, j] == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(cohort=cohorts())
+    def test_predictions_and_leave_one_out(self, cohort):
+        rows, labels = cohort
+        items = list(zip(rows, labels))
+        train = LabeledSet([(ev(f"v{i}", row), label) for i, (row, label) in enumerate(items)])
+        assert _outcome(nearest_centroid_predict, train, [v for v, _ in train.items]) == _outcome(
+            oracle_nearest_centroid, items, rows
+        )
+        assert _outcome(leave_one_out, train) == _outcome(oracle_leave_one_out, items)
