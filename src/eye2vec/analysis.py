@@ -45,11 +45,15 @@ def _unit_rows(data: np.ndarray) -> np.ndarray:
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between ``u`` and ``v``, clamped to [-1, 1]."""
     u, v = _stack([u, v])
+    return _cosine(u, float(np.dot(u, u)), v)
+
+
+def _cosine(u: np.ndarray, uu: float, v: np.ndarray) -> float:
+    """``cosine_similarity`` of two checked rows, given ``uu = dot(u, u)``."""
     if np.array_equal(u, v):
         if not np.any(u):
             raise ZeroVectorError("cosine similarity of a zero vector is undefined")
         return 1.0
-    uu = float(np.dot(u, u))
     vv = float(np.dot(v, v))
     if uu == 0.0 or vv == 0.0:
         raise ZeroVectorError("cosine similarity of a zero vector is undefined")
@@ -196,10 +200,12 @@ def _centroids(
     return list(zip(names, _unit_rows(means)))
 
 
-def _nearest(vector: EyeVector, centroids: list[tuple[str, np.ndarray]]) -> str:
+def _nearest(row: np.ndarray, centroids: list[tuple[str, np.ndarray]]) -> str:
+    """Label of the centroid most cosine-similar to the checked ``row``."""
+    uu = float(np.dot(row, row))
     best_label, best_score = None, -math.inf
     for label, centroid in centroids:
-        score = cosine_similarity(vector, centroid)
+        score = _cosine(row, uu, centroid)
         if score > best_score:
             best_label, best_score = label, score
     return best_label
@@ -215,7 +221,8 @@ def nearest_centroid_predict(train: LabeledSet, test: Sequence[EyeVector]) -> li
     labels = np.array([label for _, label in train.items])
     unit = _unit_rows(_stack([v for v, _ in train.items]))
     centroids = _centroids(unit, labels, np.ones(len(labels), dtype=bool))
-    return [_nearest(vector, centroids) for vector in test]
+    # Stacking each test vector with a centroid checks its length.
+    return [_nearest(_stack([vector, centroids[0][1]])[0], centroids) for vector in test]
 
 
 def leave_one_out(train: LabeledSet) -> float:
@@ -226,11 +233,12 @@ def leave_one_out(train: LabeledSet) -> float:
     labels = np.array([label for _, label in train.items])
     if np.any(np.unique(labels, return_counts=True)[1] < 2):
         raise InsufficientData("leave-one-out needs at least 2 items per label")
-    unit = _unit_rows(_stack([v for v, _ in train.items]))
+    data = _stack([v for v, _ in train.items])
+    unit = _unit_rows(data)
     keep = np.ones(len(labels), dtype=bool)
     correct = 0
-    for i, (vector, label) in enumerate(train.items):
+    for i, (_, label) in enumerate(train.items):
         keep[i] = False
-        correct += _nearest(vector, _centroids(unit, labels, keep)) == label
+        correct += _nearest(data[i], _centroids(unit, labels, keep)) == label
         keep[i] = True
     return correct / len(train.items)

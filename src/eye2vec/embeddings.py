@@ -4,6 +4,13 @@ Vectors come from a loaded table when available, otherwise from a seeded
 hash-based generator, so the pipeline runs reproducibly with or without a
 pretrained export. Keys are namespaced ``tok:<text>`` and
 ``path:<encoding>``.
+
+A fallback vector's splitmix64 stream is generated as one ``np.uint64``
+array, and each table computes it once per absent key: ``lookup`` keeps it
+in the table's private memo, keyed by the key, ``dim`` and ``fallback_seed``
+in force, so changing either field on a table gives the new vectors. The
+memo costs one ``dim``-float vector per distinct absent key for the table's
+lifetime; it never enters ``entries``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateVector, FormatError
-from .hashing import SplitMix64, fnv1a64
+from .hashing import fnv1a64, splitmix64_block
 from .pathctx import PathContext
 
 HEADER_PREFIX = "eye2vec-embeddings v1 dim="
@@ -28,6 +35,9 @@ class EmbeddingTable:
     dim: int
     entries: dict[str, np.ndarray] = field(default_factory=dict)
     fallback_seed: int = DEFAULT_SEED
+    _fallbacks: dict[tuple[str, int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -79,10 +89,13 @@ def load_table(path: str | Path) -> EmbeddingTable:
 
 def fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray:
     """Deterministic unit vector for a key absent from the table."""
-    stream = SplitMix64(fnv1a64(key) ^ fallback_seed)
-    raw = np.empty(dim, dtype=np.float64)
-    for i in range(dim):
-        raw[i] = 2.0 * stream.next_float01() - 1.0
+    # The float operations of 2.0 * SplitMix64.next_float01() - 1.0, in the
+    # same order, so every component has the same bits.
+    top53 = splitmix64_block(fnv1a64(key) ^ fallback_seed, dim) >> np.uint64(11)
+    raw = top53.astype(np.float64)
+    raw /= 2.0**53
+    raw *= 2.0
+    raw -= 1.0
     norm = math.sqrt(float(np.dot(raw, raw)))
     if norm == 0.0:
         raise DegenerateVector(f"fallback vector for key {key!r} is all zeros")
@@ -92,13 +105,21 @@ def fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray:
 
 
 def lookup(table: EmbeddingTable, key: str) -> np.ndarray:
-    """Stored vector for ``key``, or the seeded fallback when absent."""
+    """Stored vector for ``key``, or the seeded fallback when absent.
+
+    A fallback is computed once per table and returned as the same read-only
+    array on every later lookup.
+    """
     if not (key.startswith("tok:") or key.startswith("path:")):
         raise ValueError(f"key {key!r} must be namespaced 'tok:' or 'path:'")
     stored = table.entries.get(key)
     if stored is not None:
         return stored
-    return fallback_vector(key, table.dim, table.fallback_seed)
+    memo_key = (key, table.dim, table.fallback_seed)
+    vector = table._fallbacks.get(memo_key)
+    if vector is None:
+        vector = table._fallbacks[memo_key] = fallback_vector(key, table.dim, table.fallback_seed)
+    return vector
 
 
 def context_vector(table: EmbeddingTable, context: PathContext) -> np.ndarray:

@@ -5,7 +5,9 @@ mapping oracle scans every leaf of the tree for each fixation, the path
 oracle finds the LCA by set intersection over full parent chains, and the
 transition oracle recounts pairs with its own chain-walking loop keyed by
 oracle-computed context strings. The analysis oracles take one ``np.dot`` per
-pair and group training vectors by label in a dict, fold by fold.
+pair and group training vectors by label in a dict, fold by fold. The
+fallback-vector oracle steps the scalar splitmix64 generator once per
+component.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from eye2vec.errors import ZeroVectorError
 from eye2vec.gaze import Fixation, GridPos, Recording
+from eye2vec.hashing import SplitMix64, fnv1a64
 from eye2vec.linker import LinkOptions, MappedFixation
 from eye2vec.minilang import AstNode, LeafToken, leaves
 
@@ -155,3 +158,12 @@ def oracle_leave_one_out(items: list[tuple[np.ndarray, str]]) -> float:
         for i, (values, label) in enumerate(items)
     )
     return correct / len(items)
+
+
+def oracle_fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray:
+    """Fallback vector built one ``SplitMix64.next_float01`` call per component."""
+    stream = SplitMix64(fnv1a64(key) ^ fallback_seed)
+    raw = np.empty(dim, dtype=np.float64)
+    for i in range(dim):
+        raw[i] = 2.0 * stream.next_float01() - 1.0
+    return raw / math.sqrt(float(np.dot(raw, raw)))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import oracle_fallback_vector
 
 from eye2vec.embeddings import (
     DEFAULT_DIM,
@@ -116,6 +119,56 @@ class TestLookup:
         raw = [2.0 * ((stream.next_u64() >> 11) / 2.0**53) - 1.0 for _ in range(dim)]
         expected = np.array(raw) / np.linalg.norm(raw)
         assert np.array_equal(fallback_vector(key, dim, seed), expected)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.text(alphabet=st.characters() | st.sampled_from("↑↓"), max_size=40),
+        dim=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(key="path:Name↑Assign↓Name", dim=1, seed=0)
+    @example(key="tok:↓", dim=300, seed=2**64 - 1)
+    def test_fallback_bytes_match_scalar_stream(self, key, dim, seed):
+        expected = oracle_fallback_vector(key, dim, seed)
+        assert fallback_vector(key, dim, seed).tobytes() == expected.tobytes()
+
+
+class TestFallbackMemo:
+    def test_repeated_lookup_returns_same_read_only_array(self):
+        table = EmbeddingTable(dim=16, fallback_seed=3)
+        first = lookup(table, "path:Name↑Call↓Name")
+        assert lookup(table, "path:Name↑Call↓Name") is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    @pytest.mark.parametrize("field,value", [("fallback_seed", 4), ("dim", 24)])
+    def test_changed_field_gives_new_fallback(self, field, value):
+        table = EmbeddingTable(dim=16, fallback_seed=3)
+        before = lookup(table, "tok:x")
+        setattr(table, field, value)
+        after = lookup(table, "tok:x")
+        assert after.tobytes() == fallback_vector("tok:x", table.dim, table.fallback_seed).tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    def test_entry_added_later_wins_over_memo(self):
+        table = EmbeddingTable(dim=2, fallback_seed=3)
+        lookup(table, "tok:a")
+        table.entries["tok:a"] = np.array([3.0, 4.0])
+        assert np.array_equal(lookup(table, "tok:a"), [3.0, 4.0])
+
+    def test_fallbacks_never_enter_entries(self, tmp_path):
+        table = load_table(write_table(tmp_path, "eye2vec-embeddings v1 dim=2\ntok:a\t1 0\n"))
+        for key in ("tok:a", "tok:b", "path:P", "tok:b"):
+            lookup(table, key)
+        assert list(table.entries) == ["tok:a"]
+
+    def test_memo_is_per_table(self):
+        first, second = EmbeddingTable(dim=8), EmbeddingTable(dim=8)
+        assert lookup(first, "tok:x") is not lookup(second, "tok:x")
+        assert first == second
 
 
 class TestContextVector:
