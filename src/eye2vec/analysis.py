@@ -228,7 +228,9 @@ def nearest_centroid_predict(train: LabeledSet, test: Sequence[EyeVector]) -> li
 def leave_one_out(train: LabeledSet) -> float:
     """Accuracy of nearest-centroid prediction with each item held out once.
 
-    Each fold masks one row out of the same unit matrix.
+    Each fold masks one row out of the same unit matrix. Only the held-out
+    row's class changes between folds; every other class keeps its rows in
+    the same order, so its full-data centroid has the fold's bits.
     """
     labels = np.array([label for _, label in train.items])
     if np.any(np.unique(labels, return_counts=True)[1] < 2):
@@ -236,9 +238,12 @@ def leave_one_out(train: LabeledSet) -> float:
     data = _stack([v for v, _ in train.items])
     unit = _unit_rows(data)
     keep = np.ones(len(labels), dtype=bool)
+    full = _centroids(unit, labels, keep)
     correct = 0
     for i, (_, label) in enumerate(train.items):
         keep[i] = False
-        correct += _nearest(data[i], _centroids(unit, labels, keep)) == label
+        own = _centroids(unit, labels, keep & (labels == label))[0]
+        fold = [own if name == label else (name, c) for name, c in full]
+        correct += _nearest(data[i], fold) == label
         keep[i] = True
     return correct / len(train.items)

@@ -68,6 +68,8 @@ class EyeVector:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise FormatError(1, "invalid JSON: nested too deeply") from None
         return cls.from_json_dict(data)
 
 

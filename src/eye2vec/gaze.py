@@ -105,7 +105,8 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
     """Load a fixation CSV; ``mode`` is ``"pixel"`` or ``"grid"``.
 
     Raises FormatError (with the 1-based physical row) on a wrong header,
-    non-numeric field, negative value, or decreasing timestamp.
+    a row the CSV reader rejects (such as an oversized field), non-numeric
+    field, negative value, or decreasing timestamp.
     """
     if mode not in ("pixel", "grid"):
         raise ValueError(f"mode must be 'pixel' or 'grid', got {mode!r}")
@@ -114,7 +115,10 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
     fixations: list[Fixation] = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
     if not rows or rows[0] != expected_header:
         found = ",".join(rows[0]) if rows else "<empty file>"
         raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")

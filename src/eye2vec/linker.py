@@ -34,10 +34,6 @@ class MappedFixation:
         if (self.leaf is not None) != (self.mapping in ("hit", "snapped")):
             raise ValueError("leaf must be present exactly for hit/snapped mappings")
 
-    @property
-    def is_mapped(self) -> bool:
-        return self.leaf is not None
-
 
 @dataclass(frozen=True)
 class LinkOptions:
@@ -91,9 +87,6 @@ class TransitionProfile:
     def is_empty(self) -> bool:
         return self.total_transitions == 0
 
-    def counts(self) -> dict[PathContext, int]:
-        return {ctx: e.count for ctx, e in self.entries.items()}
-
     def content_hash(self) -> int:
         """Order-independent fingerprint of (recording_id, counts)."""
         parts = [f"{self.recording_id}\x1f{self.total_transitions}"]
@@ -135,7 +128,12 @@ def map_fixation(
     """
     if snap_tol_cols < 0:
         raise ValueError("snap_tol_cols must be >= 0")
-    return _map_fixation(fixation, _line_index(root), snap_tol_cols)
+    leaf, distance = _nearest_leaf(fixation, _line_index(root), snap_tol_cols)
+    if leaf is None:
+        return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
+    if distance == 0:
+        return MappedFixation(fixation, leaf, "hit")
+    return MappedFixation(fixation, leaf, "snapped", snap_distance_cols=distance)
 
 
 _LineIndex = dict[int, tuple[list[int], list[LeafToken]]]
@@ -156,12 +154,13 @@ def _line_index(root: AstNode) -> _LineIndex:
     return index
 
 
-def _map_fixation(fixation: Fixation, index: _LineIndex, snap_tol_cols: int) -> MappedFixation:
-    """``map_fixation`` by bisecting the fixation's line in ``index``.
+def _nearest_leaf(fixation: Fixation, index: _LineIndex, tol: int) -> tuple[LeafToken | None, int]:
+    """The leaf ``map_fixation`` picks and its distance (0 for a hit, at
+    least 1 for a snap), or ``(None, 0)`` for a drop.
 
-    Only the last leaf starting at or before the column can contain it.
-    Failing that, it and the next leaf are the nearest on either side, and
-    the first of them wins a tie.
+    Bisects the fixation's line in ``index``: only the last leaf starting at
+    or before the column can contain it. Failing that, it and the next leaf
+    are the nearest on either side, and the first of them wins a tie.
     """
     pos = fixation.position
     if not isinstance(pos, GridPos):
@@ -169,19 +168,17 @@ def _map_fixation(fixation: Fixation, index: _LineIndex, snap_tol_cols: int) -> 
     starts, row = index.get(pos.line, ((), ()))
     i = bisect_right(starts, pos.col)
     best: LeafToken | None = None
-    best_distance = snap_tol_cols + 1
+    best_distance = tol + 1
     if i:
         left = row[i - 1]
         distance = pos.col - left.span.end_col
         if distance <= 0:
-            return MappedFixation(fixation, left, "hit")
+            return left, 0
         if distance < best_distance:
             best, best_distance = left, distance
     if i < len(row) and starts[i] - pos.col < best_distance:
         best, best_distance = row[i], starts[i] - pos.col
-    if best is not None:
-        return MappedFixation(fixation, best, "snapped", snap_distance_cols=best_distance)
-    return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
+    return (best, best_distance) if best is not None else (None, 0)
 
 
 def _self_transition_context(leaf: LeafToken) -> PathContext:
@@ -193,37 +190,35 @@ def _self_transition_context(leaf: LeafToken) -> PathContext:
 def build_profile(
     recording: Recording, root: AstNode, options: LinkOptions | None = None
 ) -> TransitionProfile:
-    """Map every fixation and count transitions between consecutive leaves.
+    """Count transitions between consecutive mapped fixations in one pass.
 
-    With ``chain="skip"`` dropped fixations do not sever the sequence; with
-    ``chain="strict"`` they do. Self transitions (same leaf twice) are
-    dropped by default and never break the chain. An empty result (zero
-    transitions) is returned as a valid, empty profile.
+    Each fixation is mapped as by ``map_fixation``. With ``chain="skip"``
+    dropped fixations do not sever the sequence; with ``chain="strict"``
+    they do. Self transitions (same leaf twice) are dropped by default and
+    never break the chain. An empty result (zero transitions) is returned
+    as a valid, empty profile.
     """
     options = options or LinkOptions()
     index = _line_index(root)
-    mapped = [_map_fixation(f, index, options.snap_tol_cols) for f in recording.fixations]
-
-    runs: list[list[LeafToken]]
-    if options.chain == "skip":
-        runs = [[m.leaf for m in mapped if m.leaf is not None]]
-    else:
-        runs = [[]]
-        for m in mapped:
-            if m.leaf is None:
-                runs.append([])
-            else:
-                runs[-1].append(m.leaf)
-
     depths = node_depths(root)
+    keep_self = options.self_transitions == "keep"
     counts: dict[PathContext, int] = {}
-    for run in runs:
-        for a, b in zip(run, run[1:]):
-            if a is b:
-                if options.self_transitions == "drop":
-                    continue
-                context = _self_transition_context(a)
-            else:
-                context = context_at_depths(a, b, depths[a.parent], depths[b.parent])
-            counts[context] = counts.get(context, 0) + 1
+    previous: LeafToken | None = None
+    for fixation in recording.fixations:
+        leaf, _ = _nearest_leaf(fixation, index, options.snap_tol_cols)
+        if leaf is None:
+            if options.chain == "strict":
+                previous = None
+            continue
+        if previous is None or (previous is leaf and not keep_self):
+            previous = leaf
+            continue
+        if previous is leaf:
+            context = _self_transition_context(leaf)
+        else:
+            context = context_at_depths(
+                previous, leaf, depths[previous.parent], depths[leaf.parent]
+            )
+        counts[context] = counts.get(context, 0) + 1
+        previous = leaf
     return TransitionProfile.from_counts(recording.recording_id, counts)

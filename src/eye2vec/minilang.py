@@ -17,6 +17,7 @@ and is safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -51,8 +52,6 @@ MAX_NESTING = 64
 
 INT64_MAX = 2**63 - 1
 
-LEAF_KINDS = frozenset({"Identifier", "IntLit", "BoolLit", "StrLit", "TypeName"})
-
 # One alternative per token class, tried in order. ``\d`` matches what
 # str.isdecimal accepts and ``\w`` what str.isalnum accepts, plus "_"; a word
 # must in addition start with a letter or "_". A backslash in a string
@@ -86,11 +85,6 @@ class SourceSpan:
         if line == self.end_line and col > self.end_col:
             return False
         return True
-
-    def contains_span(self, other: "SourceSpan") -> bool:
-        return self.contains(other.start_line, other.start_col) and self.contains(
-            other.end_line, other.end_col
-        )
 
 
 def _cover(first: SourceSpan, last: SourceSpan) -> SourceSpan:
@@ -171,10 +165,7 @@ def _fits_int64(digits: str) -> bool:
 
 def parse(source_text: str) -> AstNode:
     """Parse ``source_text`` into a Program tree with spans on every node."""
-    root = _Parser(tokenize(source_text)).parse_program()
-    for index, leaf in enumerate(leaves(root)):
-        leaf.leaf_index = index
-    return root
+    return _Parser(tokenize(source_text)).parse_program()
 
 
 def leaves(root: AstNode) -> list[LeafToken]:
@@ -199,6 +190,8 @@ class _Parser:
         self.error_col = 1
         # Statements and expressions open at the current position.
         self.depth = 0
+        # Tokens arrive in source order, so leaves are numbered as they are made.
+        self.leaf_indices = itertools.count()
 
     # token plumbing ---------------------------------------------------
 
@@ -239,7 +232,7 @@ class _Parser:
         return _cover(self.tokens[start_index].span, self.tokens[self.pos - 1].span)
 
     def _leaf(self, tok: Token, kind: str) -> LeafToken:
-        return LeafToken(text=tok.lexeme, kind=kind, span=tok.span)
+        return LeafToken(tok.lexeme, kind, tok.span, next(self.leaf_indices))
 
     def _parse_list(self, parse_item: Callable[[], Child]) -> tuple[list[Child], Token]:
         """Comma-separated items up to and including the closing ')'."""

@@ -40,9 +40,8 @@ def _midpoint(leaf: LeafToken) -> GridPos:
     return GridPos(span.start_line, (span.start_col + span.end_col) // 2)
 
 
-def _declared_identifiers(root: AstNode) -> list[tuple[LeafToken, list[LeafToken]]]:
-    """Declaration-name leaves paired with later same-text identifier leaves."""
-    all_leaves = leaves(root)
+def _declared_identifiers(all_leaves: list[LeafToken]) -> list[tuple[LeafToken, list[LeafToken]]]:
+    """Declaration-name leaves in ``all_leaves`` paired with later same-text identifiers."""
     # A declaration's only Identifier leaf child is its name: an initializer
     # is an expression, where identifiers sit under a Name node.
     declarations = [
@@ -84,7 +83,7 @@ def simulate(
         for i in range(n_fixations):
             targets.append(leaf_list[i % len(leaf_list)])
     else:
-        pairs = _declared_identifiers(root)
+        pairs = _declared_identifiers(leaf_list)
         if not pairs:
             raise NoIdentifiers("no declared identifier is used again later")
         order = list(range(len(pairs)))

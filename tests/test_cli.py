@@ -83,6 +83,41 @@ class TestHostileInput:
         assert err.startswith("error: ") and "nested" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand", ["compare", "cluster"])
+    def test_deeply_nested_vector_json_exits_1_with_one_line(self, tmp_path, capsys, subcommand):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"values": ' + "[" * 200_000 + "}", encoding="utf-8")
+        argv = {
+            "compare": ["compare", str(deep), str(deep)],
+            "cluster": ["cluster", str(deep), "--k", "1"],
+        }[subcommand]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: row 1: ") and "nested" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("subcommand", ["link", "vectorize", "convert"])
+    def test_oversized_csv_field_exits_1_with_one_line(self, src_file, tmp_path, capsys, subcommand):
+        fixations = tmp_path / "fix.csv"
+        header = "timestamp_ms,x_px,y_px" if subcommand == "convert" else "timestamp_ms,line,col"
+        fixations.write_text(
+            f"{header},duration_ms\n0,1,1,100\n250,1,{'1' * 200_000},100\n", encoding="utf-8"
+        )
+        argv = {
+            "link": ["link", str(src_file), str(fixations)],
+            "vectorize": ["vectorize", str(src_file), str(fixations)],
+            "convert": [
+                "convert", str(fixations),
+                "--origin-x", "0", "--origin-y", "0", "--char-width", "8", "--line-height", "16",
+            ],
+        }[subcommand]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: row 3: ") and "field limit" in err
+        assert "Traceback" not in err
+
 
 class TestConvert:
     def test_pixel_to_grid(self, tmp_path, capsys):

@@ -290,3 +290,5 @@ class TestAgainstOracle:
         oracle_counts, oracle_total = oracle_transition_counts(recording, root, options)
         assert profile.total_transitions == oracle_total
         assert {c.context_string: e.count for c, e in profile.entries.items()} == oracle_counts
+        # contexts enter the profile in the order of their first transition
+        assert [c.context_string for c in profile.entries] == list(oracle_counts)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eye2vec.data import sample_source
 from eye2vec.errors import LexError, ParseError
 from eye2vec.minilang import (
     MAX_NESTING,
@@ -303,7 +304,8 @@ def _assert_span_soundness(source, root):
 
 def _assert_parent_containment(node):
     for child in node.children:
-        assert node.span.contains_span(child.span)
+        assert node.span.contains(child.span.start_line, child.span.start_col)
+        assert node.span.contains(child.span.end_line, child.span.end_col)
         if isinstance(child, AstNode):
             _assert_parent_containment(child)
 
@@ -326,9 +328,29 @@ def test_generated_program_properties(seed):
     assert ast_equal(root, parse(pretty_print(root)))
 
 
-def test_span_soundness_on_samples(sample_roots):
-    from eye2vec.data import sample_source
+def _programs():
+    samples = st.sampled_from(["point", "accumulator", "lookup"]).map(sample_source)
+    return st.one_of(samples, st.integers(0, 10**9).map(generate_program))
 
+
+@settings(max_examples=60, deadline=None)
+@given(source=_programs())
+def test_leaf_index_is_position_in_leaves(source):
+    lv = leaves(parse(source))
+    assert [l.leaf_index for l in lv] == list(range(len(lv)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=_programs())
+def test_leaf_start_columns_increase_within_each_line(source):
+    last_start: dict[int, int] = {}
+    for leaf in leaves(parse(source)):
+        line = leaf.span.start_line
+        assert leaf.span.start_col > last_start.get(line, 0)
+        last_start[line] = leaf.span.start_col
+
+
+def test_span_soundness_on_samples(sample_roots):
     for name, root in sample_roots.items():
         _assert_span_soundness(sample_source(name), root)
         _assert_parent_containment(root)
