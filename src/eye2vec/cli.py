@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, gaze, linker, simulator
-from .compressor import compress, read_eye_vector
+from .compressor import EyeVector, compress, read_eye_vector
 from .embeddings import DEFAULT_DIM, DEFAULT_SEED, EmbeddingTable, load_table
 from .errors import Eye2vecError, FormatError
 from .minilang import parse
@@ -200,15 +200,20 @@ def _load_train_dir(train_dir: str) -> analysis.LabeledSet:
     if not labels_path.exists():
         raise FormatError(1, f"no labels.tsv in {train_dir!r}")
     labels = gaze.read_labels(labels_path)
-    by_id = {}
+    by_id: dict[str, tuple[Path, EyeVector]] = {}
     for path in sorted(directory.glob("*.json")):
         vector = read_eye_vector(path)
-        by_id[vector.recording_id] = vector
+        if vector.recording_id in by_id:
+            first = by_id[vector.recording_id][0]
+            raise FormatError(
+                1, f"{str(first)!r} and {str(path)!r} both have recording_id {vector.recording_id!r}"
+            )
+        by_id[vector.recording_id] = (path, vector)
     items = []
     for recording_id, label in labels.items():
         if recording_id not in by_id:
             raise FormatError(1, f"labels.tsv names {recording_id!r} but no vector JSON has it")
-        items.append((by_id[recording_id], label))
+        items.append((by_id[recording_id][1], label))
     return analysis.LabeledSet(items)
 
 

@@ -1,8 +1,10 @@
 """Link grid fixations to AST leaves and count path-context transitions.
 
 Each consecutive pair of successfully mapped fixations contributes one
-transition; the per-context counts are normalized to ratios so recordings of
-different lengths stay comparable.
+transition. Transitions are counted per (leaf, leaf) pair, and each distinct
+pair's path context is built and hashed once per call; the per-context
+counts are normalized to ratios so recordings of different lengths stay
+comparable.
 """
 
 from __future__ import annotations
@@ -190,19 +192,25 @@ def _self_transition_context(leaf: LeafToken) -> PathContext:
 def build_profile(
     recording: Recording, root: AstNode, options: LinkOptions | None = None
 ) -> TransitionProfile:
-    """Count transitions between consecutive mapped fixations in one pass.
+    """Count transitions between consecutive mapped fixations.
 
     Each fixation is mapped as by ``map_fixation``. With ``chain="skip"``
     dropped fixations do not sever the sequence; with ``chain="strict"``
     they do. Self transitions (same leaf twice) are dropped by default and
     never break the chain. An empty result (zero transitions) is returned
     as a valid, empty profile.
+
+    One pass over the fixations counts each (leaf, leaf) pair; then each
+    distinct pair's path context is built and hashed once and takes the
+    pair's count. Pairs that give the same context sum, and contexts enter
+    the profile in the order of their first transition.
     """
     options = options or LinkOptions()
     index = _line_index(root)
     depths = node_depths(root)
     keep_self = options.self_transitions == "keep"
-    counts: dict[PathContext, int] = {}
+    # leaves hash by identity, so a pair key never compares leaf text
+    pairs: dict[tuple[LeafToken, LeafToken], int] = {}
     previous: LeafToken | None = None
     for fixation in recording.fixations:
         leaf, _ = _nearest_leaf(fixation, index, options.snap_tol_cols)
@@ -213,12 +221,14 @@ def build_profile(
         if previous is None or (previous is leaf and not keep_self):
             previous = leaf
             continue
-        if previous is leaf:
-            context = _self_transition_context(leaf)
-        else:
-            context = context_at_depths(
-                previous, leaf, depths[previous.parent], depths[leaf.parent]
-            )
-        counts[context] = counts.get(context, 0) + 1
+        pair = (previous, leaf)
+        pairs[pair] = pairs.get(pair, 0) + 1
         previous = leaf
+    counts: dict[PathContext, int] = {}
+    for (a, b), count in pairs.items():
+        if a is b:
+            context = _self_transition_context(a)
+        else:
+            context = context_at_depths(a, b, depths[a.parent], depths[b.parent])
+        counts[context] = counts.get(context, 0) + count
     return TransitionProfile.from_counts(recording.recording_id, counts)

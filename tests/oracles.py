@@ -4,10 +4,12 @@ These deliberately use different mechanisms than the package code: the
 mapping oracle scans every leaf of the tree for each fixation, the path
 oracle finds the LCA by set intersection over full parent chains, and the
 transition oracle recounts pairs with its own chain-walking loop keyed by
-oracle-computed context strings. The analysis oracles take one ``np.dot`` per
-pair and group training vectors by label in a dict, fold by fold. The
-fallback-vector oracle steps the scalar splitmix64 generator once per
-component.
+oracle-computed context strings. The per-transition profile builder is the
+linker's former loop, kept verbatim: it builds and hashes one path context
+for every transition, where the linker builds one per distinct leaf pair.
+The analysis oracles take one ``np.dot`` per pair and group training vectors
+by label in a dict, fold by fold. The fallback-vector oracle steps the
+scalar splitmix64 generator once per component.
 """
 
 from __future__ import annotations
@@ -19,8 +21,16 @@ import numpy as np
 from eye2vec.errors import ZeroVectorError
 from eye2vec.gaze import Fixation, GridPos, Recording
 from eye2vec.hashing import SplitMix64, fnv1a64
-from eye2vec.linker import LinkOptions, MappedFixation
+from eye2vec.linker import (
+    LinkOptions,
+    MappedFixation,
+    TransitionProfile,
+    _line_index,
+    _nearest_leaf,
+    _self_transition_context,
+)
 from eye2vec.minilang import AstNode, LeafToken, leaves
+from eye2vec.pathctx import PathContext, context_at_depths, node_depths
 
 UP = "↑"
 DOWN = "↓"
@@ -115,6 +125,36 @@ def oracle_transition_counts(
             counts[key] = counts.get(key, 0) + 1
             total += 1
     return counts, total
+
+
+def oracle_build_profile_per_transition(
+    recording: Recording, root: AstNode, options: LinkOptions | None = None
+) -> TransitionProfile:
+    """``build_profile`` as one loop that builds a context per transition."""
+    options = options or LinkOptions()
+    index = _line_index(root)
+    depths = node_depths(root)
+    keep_self = options.self_transitions == "keep"
+    counts: dict[PathContext, int] = {}
+    previous: LeafToken | None = None
+    for fixation in recording.fixations:
+        leaf, _ = _nearest_leaf(fixation, index, options.snap_tol_cols)
+        if leaf is None:
+            if options.chain == "strict":
+                previous = None
+            continue
+        if previous is None or (previous is leaf and not keep_self):
+            previous = leaf
+            continue
+        if previous is leaf:
+            context = _self_transition_context(leaf)
+        else:
+            context = context_at_depths(
+                previous, leaf, depths[previous.parent], depths[leaf.parent]
+            )
+        counts[context] = counts.get(context, 0) + 1
+        previous = leaf
+    return TransitionProfile.from_counts(recording.recording_id, counts)
 
 
 def _oracle_unit(values: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from eye2vec.cli import main
@@ -277,6 +278,20 @@ class TestCompareClusterPredict:
         train_dir.mkdir()
         (train_dir / "labels.tsv").write_text("ghost\tx\nspook\ty\n", encoding="utf-8")
         assert main(["predict", "--train", str(train_dir), "--loo"]) == 1
+
+    def test_predict_duplicate_recording_id_exits_1_with_one_line(self, tmp_path, capsys):
+        train_dir = tmp_path / "train4"
+        train_dir.mkdir()
+        for name, values in (("a.json", [1.0, 0.0]), ("b.json", [0.0, 1.0])):
+            vector = EyeVector("r1", 2, np.array(values), True, {})
+            (train_dir / name).write_text(vector.to_json(), encoding="utf-8")
+        (train_dir / "labels.tsv").write_text("r1\tx\n", encoding="utf-8")
+        assert main(["predict", "--train", str(train_dir), "--loo"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: row 1: ")
+        assert "a.json" in captured.err and "b.json" in captured.err and "'r1'" in captured.err
 
 
 class TestSimulate:

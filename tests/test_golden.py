@@ -15,13 +15,35 @@ import pytest
 from eye2vec.analysis import LabeledSet, kmeans, leave_one_out, nearest_centroid_predict
 from eye2vec.compressor import EyeVector, compress
 from eye2vec.embeddings import EmbeddingTable, fallback_vector
-from eye2vec.linker import build_profile
+from eye2vec.linker import LinkOptions, build_profile
 from eye2vec.simulator import Strategy, simulate
 
 EYE_VECTOR_JSON_SHA256 = {
     "point": "b2461b4c08c07bef1c704fbd80bffe2aa66e148b725093670c2cf0191a4a9b33",
     "accumulator": "1c2a7bec595a82a65b52712914cc81fc258d7dad032f8fae2f4e4e4e3f4f6f5b",
     "lookup": "944750465cec57af38376bc6ac40b82c092e1c49c491db729b66ce498a85a222",
+}
+
+# Profile JSON of a linear read with jitter 6 (120 fixations, seed 7): with
+# the default snap tolerance of 3 some fixations drop and some land on the
+# leaf before them, so each (chain, self_transitions) pair gives other bytes.
+PROFILE_JSON_SHA256 = {
+    ("point", "skip", "drop"): "6bd526293b445d220ad9f8d2459bd3da7453d8ffef3b66f3cfdb74c266241eee",
+    ("point", "skip", "keep"): "2d869ef3a0241ed705457afb80bef811e1a5a964073f9a9d4ed16b5e5f93e172",
+    ("point", "strict", "drop"): "ca36ea196f995f5f54fb03d1cb568e63c6aeecbf8f5f0f11f1bc0ec7cd5f4ca9",
+    ("point", "strict", "keep"): "a3c7dc941edf8683802a29b374995431d6f2d5ab26ef63fcf7ddc293d6a62dcc",
+    ("accumulator", "skip", "drop"):
+        "eb7db581a27883b731459066ce9c12cae1d5afd0079a217986a674bb362d077a",
+    ("accumulator", "skip", "keep"):
+        "edf675e2893ba86241f84c9361546caac1f2744a5178766d8096a1042440f71e",
+    ("accumulator", "strict", "drop"):
+        "fb3dd57d1f84811259f0420f8b71e7646c7247f8b7d44a9d02777b126d083225",
+    ("accumulator", "strict", "keep"):
+        "9b9cbd7292ac1a905faf90d15647c155b9e76f5c45cde9a74e9277a8be842941",
+    ("lookup", "skip", "drop"): "60c58143b41329de75a0d5560366b209fc2a02d9087cdc9471f3a6b0bb8e3407",
+    ("lookup", "skip", "keep"): "bd481179b624e0b5c7f224572ce147e8104991174126e050ef179b8eb31f25b3",
+    ("lookup", "strict", "drop"): "995b3f1d256f21318f11501602710630fbb18552e647a106643a263eb74b2718",
+    ("lookup", "strict", "keep"): "934137413c86c3eccda62f5cd9faf07270236124ca9a25e653f4f966fef0ac91",
 }
 
 FALLBACK_VECTOR_SHA256 = [
@@ -43,10 +65,21 @@ def _sha256(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(EYE_VECTOR_JSON_SHA256))
 def test_sample_eye_vector_json(sample_roots, name):
     root = sample_roots[name]
-    # jitter 2 makes some fixations snap to a neighbouring leaf or drop
+    # jitter 2 makes some fixations snap to a neighbouring leaf; none drop, as
+    # each lands within 2 columns of its target, inside the tolerance of 3
     recording = simulate(root, Strategy("defuse", jitter_cols=2, seed=7), 80)
     vector = compress(build_profile(recording, root), EmbeddingTable(dim=128, fallback_seed=42))
     assert _sha256(vector.to_json().encode("utf-8")) == EYE_VECTOR_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("name,chain,self_transitions", sorted(PROFILE_JSON_SHA256))
+def test_sample_profile_json(sample_roots, name, chain, self_transitions):
+    root = sample_roots[name]
+    recording = simulate(root, Strategy("linear", jitter_cols=6, seed=7), 120)
+    options = LinkOptions(chain=chain, self_transitions=self_transitions)
+    profile = build_profile(recording, root, options)
+    digest = PROFILE_JSON_SHA256[name, chain, self_transitions]
+    assert _sha256(profile.to_json().encode("utf-8")) == digest
 
 
 @pytest.mark.parametrize("key,dim,seed,digest", FALLBACK_VECTOR_SHA256)

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eye2vec.compressor import compress
 from eye2vec.data import sample_source
 from eye2vec.gaze import Fixation, GridPos, PixelPos, Recording
 from eye2vec.linker import (
@@ -15,7 +17,11 @@ from eye2vec.linker import (
 from eye2vec.minilang import leaves, parse
 from eye2vec.pathctx import path_between
 from eye2vec.simulator import Strategy, simulate
-from oracles import oracle_map_fixation, oracle_transition_counts
+from oracles import (
+    oracle_build_profile_per_transition,
+    oracle_map_fixation,
+    oracle_transition_counts,
+)
 from progen import generate_program
 
 SRC = "class A { int f() { count = other; other = count; } }"
@@ -259,6 +265,43 @@ def _recording(data, source, root):
     return Recording("r", [Fixation(250 * i, 200, pos) for i, pos in enumerate(positions)])
 
 
+def _revisiting_recording(data, source, root):
+    """Fixations over at most four spots, each revisited many times.
+
+    The sequence is made of ping-pong segments (A B A B), runs on one spot,
+    and drops (line 0 holds no leaf), so few leaf pairs carry many
+    transitions. Spots favour leaves whose text occurs more than once, so
+    that distinct pairs share texts and sometimes a context string.
+    """
+    lv = leaves(root)
+    texts = Counter(leaf.text for leaf in lv)
+    repeated = [fixation_at(leaf).position for leaf in lv if texts[leaf.text] > 1]
+    where = _positions(source, root)
+    if repeated:
+        where = st.one_of(st.sampled_from(repeated), where)
+    spots = data.draw(st.lists(where, min_size=1, max_size=5), label="spots")
+    n = len(spots)
+    spot = st.integers(0, n - 1)
+    segment = st.one_of(
+        st.tuples(spot, spot, st.integers(1, 6)).map(lambda t: [t[0], t[1]] * t[2]),
+        st.tuples(spot, st.integers(1, 6)).map(lambda t: [t[0]] * t[1]),
+        st.integers(1, 3).map(lambda k: [n] * k),
+    )
+    order = [i for seg in data.draw(st.lists(segment, max_size=12), label="segments") for i in seg]
+    positions = spots + [GridPos(0, 1)]
+    return Recording("r", [Fixation(250 * i, 200, positions[j]) for i, j in enumerate(order)])
+
+
+def _assert_same_as_per_transition(recording, root, options, table):
+    profile = build_profile(recording, root, options)
+    want = oracle_build_profile_per_transition(recording, root, options)
+    assert profile.to_json() == want.to_json()
+    assert list(profile.entries.items()) == list(want.entries.items())
+    if want.total_transitions:
+        assert compress(profile, table).to_json() == compress(want, table).to_json()
+    return profile
+
+
 class TestAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(source=_sources(), data=st.data())
@@ -292,3 +335,43 @@ class TestAgainstOracle:
         assert {c.context_string: e.count for c, e in profile.entries.items()} == oracle_counts
         # contexts enter the profile in the order of their first transition
         assert [c.context_string for c in profile.entries] == list(oracle_counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source=_sources(),
+        data=st.data(),
+        tol=st.integers(0, 6),
+        chain=st.sampled_from(["skip", "strict"]),
+        self_transitions=st.sampled_from(["keep", "drop"]),
+    )
+    def test_build_profile_matches_per_transition_loop(
+        self, source, data, tol, chain, self_transitions, small_table
+    ):
+        root = parse(source)
+        recording = _revisiting_recording(data, source, root)
+        options = LinkOptions(snap_tol_cols=tol, self_transitions=self_transitions, chain=chain)
+        _assert_same_as_per_transition(recording, root, options, small_table)
+
+    @pytest.mark.parametrize("chain", ["skip", "strict"])
+    @pytest.mark.parametrize("self_transitions", ["keep", "drop"])
+    def test_pairs_with_one_context_sum_and_same_text_pairs_stay_apart(
+        self, chain, self_transitions, small_table
+    ):
+        # both (a, b) pairs on lines 2 and 3 give one context string; the
+        # (a, b) pair on line 4 has the same texts but another path
+        root = parse("class A { int f() {\n a = b;\n a = b;\n return a + b;\n} }")
+        a1, a2, a3 = (leaf_by_text(root, "a", i) for i in range(3))
+        b1, b2, b3 = (leaf_by_text(root, "b", i) for i in range(3))
+        # None is a drop (line 0 holds no leaf)
+        sequence = [a1, b1, a2, b2, a1, a1, b1, None, a3, b3, a3, b3]
+        fixations = [
+            Fixation(250 * i, 200, GridPos(0, 1)) if leaf is None else fixation_at(leaf, 250 * i)
+            for i, leaf in enumerate(sequence)
+        ]
+        options = LinkOptions(self_transitions=self_transitions, chain=chain)
+        recording = Recording("r", fixations)
+        profile = _assert_same_as_per_transition(recording, root, options, small_table)
+        assign = path_between(root, a1, b1)
+        assert path_between(root, a2, b2) == assign
+        assert profile.entries[assign].count == 3
+        assert path_between(root, a3, b3) in profile.entries
