@@ -78,7 +78,7 @@ def load_table(path: str | Path) -> EmbeddingTable:
         if len(components) != dim:
             raise FormatError(line_no, f"expected {dim} components, got {len(components)}")
         try:
-            vector = np.array([float(c) for c in components], dtype=np.float64)
+            vector = np.array(components, dtype=np.float64)  # float() on each string
         except ValueError:
             raise FormatError(line_no, "non-numeric vector component") from None
         if not np.all(np.isfinite(vector)):

@@ -40,7 +40,7 @@ class FormatError(Eye2vecError):
 
 
 class OutOfViewport(Eye2vecError):
-    """Pixel fixation lies above or left of the code pane origin."""
+    """Pixel fixation lies above or left of the code pane origin, or too far from it."""
 
 
 class NotALeaf(Eye2vecError):

@@ -55,8 +55,10 @@ class FontGrid:
     line_height_px: float
 
     def __post_init__(self) -> None:
-        if self.char_width_px <= 0 or self.line_height_px <= 0:
-            raise ValueError("char_width_px and line_height_px must be positive")
+        fields = (self.origin_x_px, self.origin_y_px, self.char_width_px, self.line_height_px)
+        if not all(map(math.isfinite, fields)) or min(fields[2:]) <= 0:
+            raise ValueError("font grid fields must be finite, and char_width_px and "
+                             "line_height_px positive")
 
 
 @dataclass
@@ -70,7 +72,8 @@ class Recording:
 
 
 def to_grid(fixation: Fixation, grid: FontGrid) -> Fixation:
-    """Convert a pixel fixation to a line/column fixation on ``grid``."""
+    """Convert a pixel fixation to a line/column fixation on ``grid``; a pixel
+    left of, above or too far from the origin raises ``OutOfViewport``."""
     pos = fixation.position
     if not isinstance(pos, PixelPos):
         raise TypeError("fixation is already in grid mode")
@@ -79,8 +82,14 @@ def to_grid(fixation: Fixation, grid: FontGrid) -> Fixation:
             f"pixel ({pos.x_px}, {pos.y_px}) lies outside the pane origin "
             f"({grid.origin_x_px}, {grid.origin_y_px})"
         )
-    line = math.floor((pos.y_px - grid.origin_y_px) / grid.line_height_px) + 1
-    col = math.floor((pos.x_px - grid.origin_x_px) / grid.char_width_px) + 1
+    try:
+        line = math.floor((pos.y_px - grid.origin_y_px) / grid.line_height_px) + 1
+        col = math.floor((pos.x_px - grid.origin_x_px) / grid.char_width_px) + 1
+    except OverflowError:  # an offset or quotient beyond the largest double
+        raise OutOfViewport(
+            f"pixel ({pos.x_px}, {pos.y_px}) lies too far from the pane origin "
+            f"({grid.origin_x_px}, {grid.origin_y_px}) for a line and column"
+        ) from None
     return Fixation(fixation.timestamp_ms, fixation.duration_ms, GridPos(line, col))
 
 

@@ -142,17 +142,17 @@ _LineIndex = dict[int, tuple[list[int], list[LeafToken]]]
 
 
 def _line_index(root: AstNode) -> _LineIndex:
-    """Each line's leaves sorted by start column, with their start columns.
+    """Each line's start columns and leaves, in parse order.
 
-    A leaf of a parsed tree lies on one line and overlaps no other leaf.
+    A leaf of a parsed tree lies on one line and overlaps no other leaf, and
+    the parser makes a line's leaves in column order, so each line comes
+    out sorted by start column.
     """
-    rows: dict[int, list[LeafToken]] = {}
-    for leaf in leaves(root):
-        rows.setdefault(leaf.span.start_line, []).append(leaf)
     index: _LineIndex = {}
-    for line, row in rows.items():
-        row.sort(key=lambda leaf: leaf.span.start_col)
-        index[line] = ([leaf.span.start_col for leaf in row], row)
+    for leaf in leaves(root):
+        cols, row = index.setdefault(leaf.span.start_line, ([], []))
+        cols.append(leaf.span.start_col)
+        row.append(leaf)
     return index
 
 

@@ -5,6 +5,10 @@ original text, which is what lets gaze positions be matched against syntax.
 Keywords and punctuation are parsed but never become tree leaves; the leaves
 are identifiers, literals, and type names.
 
+A ``ParseError`` points just past the last consumed token (1:1 before the
+first), where the expected construct should begin, and names the token found
+there, or ``end of input`` at the end.
+
 Statements and expressions nest at most ``MAX_NESTING`` deep: every
 statement and every expression counts one level while it is being parsed,
 so each block, branch or loop body, parenthesis, call argument, index and
@@ -26,6 +30,7 @@ from .errors import LexError, ParseError
 
 KEYWORDS = frozenset({"class", "int", "boolean", "void", "if", "else", "while", "for", "return"})
 BUILTIN_TYPES = frozenset({"int", "boolean", "void"})
+_TYPE_START = BUILTIN_TYPES | {"Identifier"}
 _WORD_KINDS = {"true": "BoolLit", "false": "BoolLit", **{word: word for word in KEYWORDS}}
 
 # Longest first, so that the scanner prefers "==" to "=".
@@ -98,6 +103,13 @@ class Token(NamedTuple):
     kind: str
     lexeme: str
     span: SourceSpan
+
+
+# The parser appends this token, so a next token always exists; no other
+# token has its kind. It ends at 1:0, so before the first token the "last
+# consumed" one, tokens[-1], puts an error at 1:1.
+_END = "end of input"
+_END_TOKEN = Token(_END, "", SourceSpan(1, 0, 1, 0))
 
 
 @dataclass(eq=False)
@@ -183,11 +195,8 @@ def leaves(root: AstNode) -> list[LeafToken]:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens = [*tokens, _END_TOKEN]
         self.pos = 0
-        # Where the next construct should begin; used for error positions.
-        self.error_line = 1
-        self.error_col = 1
         # Statements and expressions open at the current position.
         self.depth = 0
         # Tokens arrive in source order, so leaves are numbered as they are made.
@@ -195,20 +204,19 @@ class _Parser:
 
     # token plumbing ---------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token | None:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
-
     def _at(self, kind: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def _advance(self) -> Token:
-        tok = self.tokens[self.pos]
         self.pos += 1
-        self.error_line = tok.span.end_line
-        self.error_col = tok.span.end_col + 1
-        return tok
+        return self.tokens[self.pos - 1]
+
+    def _accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.tokens[self.pos].kind != kind:
+            return False
+        self.pos += 1
+        return True
 
     def _expect(self, kind: str, expected: str | None = None) -> Token:
         if self._at(kind):
@@ -216,9 +224,9 @@ class _Parser:
         self._fail(expected or f"'{kind}'")
 
     def _fail(self, expected: str) -> None:
-        tok = self._peek()
-        found = f"'{tok.lexeme}'" if tok is not None else "end of input"
-        raise ParseError(self.error_line, self.error_col, expected, found)
+        last, tok = self.tokens[self.pos - 1].span, self.tokens[self.pos]
+        found = _END if tok.kind == _END else f"'{tok.lexeme}'"
+        raise ParseError(last.end_line, last.end_col + 1, expected, found)
 
     def _nest(self) -> None:
         """Open one more statement or expression; the caller closes it."""
@@ -239,8 +247,7 @@ class _Parser:
         items: list[Child] = []
         if not self._at(")"):
             items.append(parse_item())
-            while self._at(","):
-                self._advance()
+            while self._accept(","):
                 items.append(parse_item())
         return items, self._expect(")", "',' or ')'")
 
@@ -249,7 +256,7 @@ class _Parser:
     def parse_program(self) -> AstNode:
         start = self.pos
         classes: list[Child] = []
-        while self._peek() is not None:
+        while not self._at(_END):
             classes.append(self.parse_class())
         return AstNode("Program", self._span_from(start), classes)
 
@@ -260,7 +267,7 @@ class _Parser:
         self._expect("{")
         members: list[Child] = [self._leaf(name, "Identifier")]
         while not self._at("}"):
-            if self._peek() is None:
+            if self._at(_END):
                 self._fail("member declaration or '}'")
             members.append(self.parse_member())
         self._expect("}")
@@ -270,9 +277,8 @@ class _Parser:
         start = self.pos
         type_ref = self.parse_type()
         name_leaf = self._leaf(self._expect("Identifier", "member name"), "Identifier")
-        if not self._at("("):
+        if not self._accept("("):
             return self._parse_initializer("FieldDecl", start, [type_ref, name_leaf])
-        self._advance()
         if not (self._at(")") or self._at_type_start()):
             self._fail("parameter type or ')'")
         params, _ = self._parse_list(self.parse_param)
@@ -286,8 +292,7 @@ class _Parser:
         return AstNode("Param", self._span_from(start), [type_ref, self._leaf(name, "Identifier")])
 
     def _at_type_start(self) -> bool:
-        tok = self._peek()
-        return tok is not None and (tok.kind in BUILTIN_TYPES or tok.kind == "Identifier")
+        return self.tokens[self.pos].kind in _TYPE_START
 
     def parse_type(self) -> AstNode:
         if not self._at_type_start():
@@ -297,8 +302,7 @@ class _Parser:
 
     def _parse_initializer(self, label: str, start: int, children: list[Child]) -> AstNode:
         """The optional ``= expr`` and the ';' that end a field or variable."""
-        if self._at("="):
-            self._advance()
+        if self._accept("="):
             children.append(self.parse_expr())
         self._expect(";")
         return AstNode(label, self._span_from(start), children)
@@ -310,26 +314,26 @@ class _Parser:
         self._expect("{")
         stmts: list[Child] = []
         while not self._at("}"):
-            if self._peek() is None:
+            if self._at(_END):
                 self._fail("statement or '}'")
             stmts.append(self.parse_stmt())
         self._expect("}")
         return AstNode("Block", self._span_from(start), stmts)
 
     def parse_stmt(self) -> Child:
-        tok = self._peek()
-        if tok is None:
+        kind = self.tokens[self.pos].kind
+        if kind == _END:
             self._fail("statement")
         self._nest()
-        if tok.kind == "{":
+        if kind == "{":
             stmt = self.parse_block()
-        elif tok.kind == "if":
+        elif kind == "if":
             stmt = self.parse_if()
-        elif tok.kind == "while":
+        elif kind == "while":
             stmt = self.parse_while()
-        elif tok.kind == "for":
+        elif kind == "for":
             stmt = self.parse_for()
-        elif tok.kind == "return":
+        elif kind == "return":
             stmt = self.parse_return()
         elif self._at_var_decl_start():
             stmt = self.parse_var_decl()
@@ -339,16 +343,11 @@ class _Parser:
         return stmt
 
     def _at_var_decl_start(self) -> bool:
-        tok = self._peek()
-        if tok is None:
-            return False
-        if tok.kind in BUILTIN_TYPES:
+        kind = self.tokens[self.pos].kind
+        if kind in BUILTIN_TYPES:
             return True
         # "Name Name" is a declaration; "Name = ..." etc. is an expression.
-        if tok.kind == "Identifier":
-            after = self._peek(1)
-            return after is not None and after.kind == "Identifier"
-        return False
+        return kind == "Identifier" and self.tokens[self.pos + 1].kind == "Identifier"
 
     def parse_var_decl(self) -> AstNode:
         start = self.pos
@@ -367,8 +366,7 @@ class _Parser:
     def parse_if(self) -> AstNode:
         start = self.pos
         children: list[Child] = [self._parse_condition("if"), self.parse_stmt()]
-        if self._at("else"):
-            self._advance()
+        if self._accept("else"):
             children.append(self.parse_stmt())
         return AstNode("If", self._span_from(start), children)
 
@@ -382,12 +380,9 @@ class _Parser:
         self._expect("for")
         self._expect("(")
         children: list[Child] = []
-        if self._at(";"):
-            self._advance()
-        elif self._at_var_decl_start():
-            children.append(self.parse_var_decl())
-        else:
-            children.append(self.parse_expr_stmt())
+        if not self._accept(";"):
+            init = self.parse_var_decl() if self._at_var_decl_start() else self.parse_expr_stmt()
+            children.append(init)
         if not self._at(";"):
             children.append(self.parse_expr())
         self._expect(";")
@@ -430,7 +425,7 @@ class _Parser:
         """Precedence climbing: operands joined by operators that bind at
         least as tightly as ``min_precedence``."""
         left = self._parse_operand()
-        while (tok := self._peek()) is not None and _PRECEDENCE.get(tok.kind, 0) >= min_precedence:
+        while _PRECEDENCE.get((tok := self.tokens[self.pos]).kind, 0) >= min_precedence:
             self._advance()
             right = self._parse_binary(_PRECEDENCE[tok.kind] + 1)
             left = AstNode(f"BinExpr:{tok.kind}", _cover(left.span, right.span), [left, right])
@@ -439,21 +434,18 @@ class _Parser:
     def _parse_operand(self) -> Child:
         """Prefix '!'/'-', then a primary with its calls, field accesses and indexes."""
         prefixes: list[Token] = []
-        while (tok := self._peek()) is not None and tok.kind in ("!", "-"):
+        while self.tokens[self.pos].kind in ("!", "-"):
             prefixes.append(self._advance())
         expr = self._parse_primary()
         while True:
-            if self._at("("):
-                self._advance()
+            if self._accept("("):
                 args, close = self._parse_list(self.parse_expr)
                 expr = AstNode("Call", _cover(expr.span, close.span), [expr, *args])
-            elif self._at("."):
-                self._advance()
+            elif self._accept("."):
                 name = self._expect("Identifier", "field name")
                 field_leaf = self._leaf(name, "Identifier")
                 expr = AstNode("FieldAccess", _cover(expr.span, name.span), [expr, field_leaf])
-            elif self._at("["):
-                self._advance()
+            elif self._accept("["):
                 index = self.parse_expr()
                 close = self._expect("]")
                 expr = AstNode("Index", _cover(expr.span, close.span), [expr, index])
@@ -464,17 +456,14 @@ class _Parser:
         return expr
 
     def _parse_primary(self) -> Child:
-        tok = self._peek()
-        if tok is None:
-            self._fail("expression")
+        tok = self.tokens[self.pos]
         if tok.kind == "Identifier":
             self._advance()
             return AstNode("Name", tok.span, [self._leaf(tok, "Identifier")])
         if tok.kind in ("IntLit", "BoolLit", "StrLit"):
             self._advance()
             return self._leaf(tok, tok.kind)
-        if tok.kind == "(":
-            self._advance()
+        if self._accept("("):
             inner = self.parse_expr()
             self._expect(")")
             return inner

@@ -9,7 +9,8 @@ linker's former loop, kept verbatim: it builds and hashes one path context
 for every transition, where the linker builds one per distinct leaf pair.
 The analysis oracles take one ``np.dot`` per pair and group training vectors
 by label in a dict, fold by fold. The fallback-vector oracle steps the
-scalar splitmix64 generator once per component.
+scalar splitmix64 generator once per component, and the table-row oracle is
+``load_table``'s former per-component ``float()`` loop.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from eye2vec.errors import ZeroVectorError
+from eye2vec.errors import FormatError, ZeroVectorError
 from eye2vec.gaze import Fixation, GridPos, Recording
 from eye2vec.hashing import SplitMix64, fnv1a64
 from eye2vec.linker import (
@@ -207,3 +208,14 @@ def oracle_fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray
     for i in range(dim):
         raw[i] = 2.0 * stream.next_float01() - 1.0
     return raw / math.sqrt(float(np.dot(raw, raw)))
+
+
+def oracle_table_row(components: list[str], line_no: int) -> np.ndarray:
+    """One embedding-table row parsed with ``float()`` per component."""
+    try:
+        vector = np.array([float(c) for c in components], dtype=np.float64)
+    except ValueError:
+        raise FormatError(line_no, "non-numeric vector component") from None
+    if not np.all(np.isfinite(vector)):
+        raise FormatError(line_no, "vector components must be finite")
+    return vector

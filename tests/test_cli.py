@@ -119,6 +119,29 @@ class TestHostileInput:
         assert err.startswith("error: row 3: ") and "field limit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("x_px,calibration,message", [
+        ("25", ["--char-width", "inf"], "finite"),
+        ("25", ["--char-width", "nan"], "finite"),
+        ("25", ["--origin-y", "inf"], "finite"),
+        ("25", ["--line-height", "nan"], "finite"),
+        ("1.7e308", ["--char-width", "0.5"], "too far"),
+        ("25", ["--char-width", "1e-310"], "too far"),
+    ])
+    def test_hostile_calibration_exits_1_with_one_line(self, tmp_path, capsys, x_px,
+                                                       calibration, message):
+        fixations = tmp_path / "pix.csv"
+        fixations.write_text(f"timestamp_ms,x_px,y_px,duration_ms\n0,{x_px},45,100\n",
+                             encoding="utf-8")
+        flags = {"--origin-x": "0", "--origin-y": "0", "--char-width": "10", "--line-height": "20"}
+        flags.update(zip(calibration[::2], calibration[1::2]))
+        argv = ["convert", str(fixations)] + [item for pair in flags.items() for item in pair]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestConvert:
     def test_pixel_to_grid(self, tmp_path, capsys):

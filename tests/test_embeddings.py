@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_fallback_vector
+from oracles import oracle_fallback_vector, oracle_table_row
 
 from eye2vec.embeddings import (
     DEFAULT_DIM,
@@ -75,6 +75,42 @@ class TestLoadTable:
             load_table(write_table(tmp_path, "eye2vec-embeddings v1 dim=zero\n"))
         with pytest.raises(FormatError):
             load_table(write_table(tmp_path, "eye2vec-embeddings v1 dim=0\n", "z.tsv"))
+
+
+# Strings that float() reads in some unusual way, or just fails to read.
+_COMPONENT_EDGES = [
+    "1_0", "1__0", "_1", "1_", "inf", "-Infinity", "nan", "-nan", "NaN", "1e400", "-1e400",
+    "1e-400", "0x10", "0b1", "1j", "١", "१२", "²", "１２", "٫5", "1,5", ".5", "5.", "-0",
+    "+1.5", "+-1", "1e", "e1", "1.2.3", "1.5e-3_0", "True", "0001", "4.9e-324",
+]
+_COMPONENT = st.one_of(
+    st.sampled_from(_COMPONENT_EDGES),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789+-._eEinfatyxj١²１", min_size=1, max_size=8),
+    st.text(min_size=1, max_size=4),
+).filter(lambda text: text.split() == [text])  # no whitespace, so a row splits as written
+
+
+class TestLoadTableAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(components=st.lists(_COMPONENT, min_size=1, max_size=5))
+    @example(components=["1_0", "١", "１２", "1e-400"])
+    @example(components=["0x10", "inf"])
+    @example(components=["1e400", "x"])
+    def test_row_matches_per_component_float(self, tmp_path_factory, components):
+        path = write_table(
+            tmp_path_factory.mktemp("row"),
+            f"eye2vec-embeddings v1 dim={len(components)}\ntok:a\t1{' 0' * (len(components) - 1)}\n"
+            f"path:P\t{' '.join(components)}\n",
+        )
+        try:
+            expected = oracle_table_row(components, 3)
+        except FormatError as error:
+            with pytest.raises(FormatError) as exc:
+                load_table(path)
+            assert (exc.value.row, exc.value.message) == (error.row, error.message)
+        else:
+            assert load_table(path).entries["path:P"].tobytes() == expected.tobytes()
 
 
 class TestLookup:

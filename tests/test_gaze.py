@@ -124,6 +124,24 @@ class TestToGrid:
         with pytest.raises(ValueError):
             FontGrid(0, 0, 10, -1)
 
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_font_grid_rejected(self, field, value):
+        fields = [0.0, 0.0, 10.0, 20.0]
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            FontGrid(*fields)
+
+    @pytest.mark.parametrize("pixel,grid", [
+        (PixelPos(1.7e308, 5), FontGrid(0, 0, 0.5, 20)),
+        (PixelPos(5, 1.7e308), FontGrid(0, 0, 10, 0.5)),
+        (PixelPos(25, 45), FontGrid(0, 0, 1e-310, 20)),
+        (PixelPos(1.7e308, 5), FontGrid(-1.7e308, 0, 10, 20)),
+    ])
+    def test_cell_beyond_any_integer_is_out_of_viewport(self, pixel, grid):
+        with pytest.raises(OutOfViewport, match="too far"):
+            to_grid(Fixation(0, 100, pixel), grid)
+
     def test_viewport_partition(self):
         # every pixel in a cell maps to that cell; boundaries go to the next
         grid = FontGrid(0, 0, 10, 20)

@@ -8,15 +8,20 @@ alter outputs, and say so.
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
 from eye2vec.analysis import LabeledSet, kmeans, leave_one_out, nearest_centroid_predict
 from eye2vec.compressor import EyeVector, compress
+from eye2vec.data import SAMPLE_NAMES, sample_source
 from eye2vec.embeddings import EmbeddingTable, fallback_vector
+from eye2vec.errors import LexError, ParseError
 from eye2vec.linker import LinkOptions, build_profile
+from eye2vec.minilang import LeafToken, parse
 from eye2vec.simulator import Strategy, simulate
+from progen import generate_program
 
 EYE_VECTOR_JSON_SHA256 = {
     "point": "b2461b4c08c07bef1c704fbd80bffe2aa66e148b725093670c2cf0191a4a9b33",
@@ -55,6 +60,8 @@ FALLBACK_VECTOR_SHA256 = [
      "82f24f33cf117208ee80dc1d5812a474bb4c01b7991cc047a0fe6b4de0d72db1"),
 ]
 
+PARSE_OUTCOMES_SHA256 = "9ecf1831f1e2c658f34758f74b24ca4795c449a102b5b0c7035a71feffe05784"
+
 ANALYSIS_SHA256 = "a97397056b136046f230042175f7eb99500edaab7ebdc46159692f785c1fa728"
 
 
@@ -80,6 +87,78 @@ def test_sample_profile_json(sample_roots, name, chain, self_transitions):
     profile = build_profile(recording, root, options)
     digest = PROFILE_JSON_SHA256[name, chain, self_transitions]
     assert _sha256(profile.to_json().encode("utf-8")) == digest
+
+
+# Lexemes spliced into generated programs to derail the parser.
+_INSERTS = ["{", "}", "(", ")", "[", "]", ";", ",", ".", "=", "==", "+", "-", "!",
+            "class", "int", "void", "if", "else", "while", "for", "return", "x", "1", "\"s\""]
+
+
+def _parse_corpus() -> list[str]:
+    """The samples, the empty program, nesting past the limit, and seeded
+    generated programs whole, with a character range deleted, with a lexeme
+    inserted, and cut short."""
+    corpus = [sample_source(name) for name in SAMPLE_NAMES] + [""]
+    corpus += [
+        "class A { void f() { " + "{" * 70 + "}" * 70 + " } }",
+        "class A { int f() { return " + "(" * 70 + "1" + ")" * 70 + "; } }",
+    ]
+    for seed in range(150):
+        source = generate_program(seed, max_leaves=30 if seed % 2 else 80)
+        rng = random.Random(seed)
+        cut = rng.randrange(len(source))
+        insert_at = rng.randrange(len(source) + 1)
+        corpus += [
+            source,
+            source[:cut] + source[cut + rng.randint(1, 8):],
+            source[:insert_at] + f" {rng.choice(_INSERTS)} " + source[insert_at:],
+            source[: rng.randrange(len(source))],
+        ]
+    return corpus
+
+
+def _span(span) -> list[int]:
+    return [span.start_line, span.start_col, span.end_line, span.end_col]
+
+
+def _parse_outcome(source: str) -> list:
+    """The error's fields, or every node's label and span and every leaf's
+    kind, text, index and span in pre-order."""
+    try:
+        root = parse(source)
+    except (LexError, ParseError) as error:
+        return [type(error).__name__, str(error), error.line, error.col,
+                getattr(error, "expected", None), getattr(error, "found", None)]
+    outcome: list = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, LeafToken):
+            outcome.append([item.kind, item.text, item.leaf_index, _span(item.span)])
+        else:
+            outcome.append([item.label, _span(item.span)])
+            stack += item.children[::-1]
+    return outcome
+
+
+def test_parse_outcomes():
+    digest = hashlib.sha256()
+    for source in _parse_corpus():
+        digest.update(json.dumps(_parse_outcome(source)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == PARSE_OUTCOMES_SHA256
+
+
+@pytest.mark.parametrize("source,line,col,expected,found", [
+    ("x", 1, 1, "'class'", "'x'"),
+    ("class A {", 1, 10, "member declaration or '}'", "end of input"),
+    ("class", 1, 6, "class name", "end of input"),
+    ("class A { void f() { a = } }", 1, 25, "expression", "'}'"),
+])
+def test_parse_error_fields(source, line, col, expected, found):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert (exc.value.line, exc.value.col, exc.value.expected, exc.value.found) == (
+        line, col, expected, found)
 
 
 @pytest.mark.parametrize("key,dim,seed,digest", FALLBACK_VECTOR_SHA256)
