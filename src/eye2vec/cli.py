@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -50,6 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert pixel fixations to line/column")
     p.set_defaults(run=_cmd_convert)
+    # argparse reads "-1e3" or "-inf" as a flag unless this private pattern (by default
+    # only "-5" and "-.5") matches it; tests/test_cli.py fails if it is renamed.
+    p._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p.add_argument("fixations")
     p.add_argument("--origin-x", type=float, required=True)
     p.add_argument("--origin-y", type=float, required=True)

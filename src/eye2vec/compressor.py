@@ -42,7 +42,7 @@ class EyeVector:
             "dim": self.dim,
             "normalized": self.normalized,
             "meta": dict(self.meta),
-            "values": [float(v) for v in self.values],
+            "values": self.values.tolist(),
         }
 
     def to_json(self) -> str:
@@ -52,13 +52,17 @@ class EyeVector:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EyeVector":
         try:
-            return cls(
-                recording_id=data["recording_id"],
-                dim=data["dim"],
-                values=np.array(data["values"], dtype=np.float64),
-                normalized=data["normalized"],
-                meta=dict(data["meta"]),
-            )
+            recording_id, dim, values, normalized, meta = (
+                data[key] for key in ("recording_id", "dim", "values", "normalized", "meta"))
+            if not isinstance(recording_id, str) or not recording_id:
+                raise TypeError("recording_id must be a nonempty string")
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise TypeError(f"dim must be an integer, not {type(dim).__name__}")
+            if not isinstance(normalized, bool):
+                raise TypeError(f"normalized must be a boolean, not {type(normalized).__name__}")
+            if not isinstance(meta, dict):
+                raise TypeError(f"meta must be a JSON object, not {type(meta).__name__}")
+            return cls(recording_id, dim, values, normalized, dict(meta))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(1, f"bad eye-vector JSON: {exc}") from None
 

@@ -16,8 +16,8 @@ from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
-from .minilang import AstNode, LeafToken, leaves
-from .pathctx import PathContext, context_at_depths, make_context, node_depths
+from .minilang import AstNode, Child, LeafToken, leaves, parents_and_depths
+from .pathctx import PathContext, context_between, make_context
 
 DEFAULT_SNAP_TOL_COLS = 3
 
@@ -183,10 +183,10 @@ def _nearest_leaf(fixation: Fixation, index: _LineIndex, tol: int) -> tuple[Leaf
     return (best, best_distance) if best is not None else (None, 0)
 
 
-def _self_transition_context(leaf: LeafToken) -> PathContext:
+def _self_transition_context(leaf: LeafToken, parents: dict[Child, AstNode]) -> PathContext:
     # A re-fixation has no leaf-to-leaf path; the degenerate context uses the
     # enclosing node's label as the sole path element.
-    return make_context(leaf.text, leaf.parent.label, leaf.text)
+    return make_context(leaf.text, parents[leaf].label, leaf.text)
 
 
 def build_profile(
@@ -207,7 +207,7 @@ def build_profile(
     """
     options = options or LinkOptions()
     index = _line_index(root)
-    depths = node_depths(root)
+    parents, depths = parents_and_depths(root)
     keep_self = options.self_transitions == "keep"
     # leaves hash by identity, so a pair key never compares leaf text
     pairs: dict[tuple[LeafToken, LeafToken], int] = {}
@@ -227,8 +227,8 @@ def build_profile(
     counts: dict[PathContext, int] = {}
     for (a, b), count in pairs.items():
         if a is b:
-            context = _self_transition_context(a)
+            context = _self_transition_context(a, parents)
         else:
-            context = context_at_depths(a, b, depths[a.parent], depths[b.parent])
+            context = context_between(a, b, parents, depths)
         counts[context] = counts.get(context, 0) + count
     return TransitionProfile.from_counts(recording.recording_id, counts)

@@ -16,14 +16,16 @@ assignment right-hand side adds one. Deeper input raises ``ParseError``
 instead of exhausting the interpreter's stack.
 
 Parsing is a pure function; the returned tree is never mutated afterwards
-and is safe to share across threads.
+and is safe to share across threads. Trees hold no parent links, so no tree
+is a reference cycle; callers take parents and depths from one
+``parents_and_depths`` walk per call.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import LexError, ParseError
@@ -120,7 +122,6 @@ class LeafToken:
     kind: str
     span: SourceSpan
     leaf_index: int = -1
-    parent: "AstNode | None" = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -128,11 +129,6 @@ class AstNode:
     label: str
     span: SourceSpan
     children: list[AstNode | LeafToken]
-    parent: "AstNode | None" = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        for child in self.children:
-            child.parent = self
 
 
 Child = AstNode | LeafToken
@@ -191,6 +187,22 @@ def leaves(root: AstNode) -> list[LeafToken]:
         else:
             stack += item.children[::-1]
     return found
+
+
+def parents_and_depths(root: AstNode) -> tuple[dict[Child, AstNode], dict[AstNode, int]]:
+    """Every node's and leaf's parent, and every inner node's depth (root 0)."""
+    parents: dict[Child, AstNode] = {}
+    depths = {root: 0}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        depth = depths[node] + 1
+        for child in node.children:
+            parents[child] = node
+            if isinstance(child, AstNode):
+                depths[child] = depth
+                stack.append(child)
+    return parents, depths
 
 
 class _Parser:

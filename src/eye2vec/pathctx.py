@@ -3,7 +3,8 @@
 A context is rendered as ``source_text,path_encoding,target_text`` where the
 encoding lists ancestor labels from the source leaf up to the lowest common
 ancestor (suffixed with an up arrow), the LCA label bare, and labels back
-down to the target leaf (prefixed with a down arrow).
+down to the target leaf (prefixed with a down arrow). Trees hold no parent
+links: each call takes parents and depths from one ``parents_and_depths`` walk.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import NotALeaf, SameLeaf
 from .hashing import fnv1a64
-from .minilang import AstNode, LeafToken, leaves
+from .minilang import AstNode, Child, LeafToken, leaves, parents_and_depths
 
 UP = "↑"
 DOWN = "↓"
@@ -43,67 +44,42 @@ def make_context(source_text: str, path_encoding: str, target_text: str) -> Path
     return PathContext(source_text, path_encoding, target_text, fnv1a64(full))
 
 
-def node_depths(root: AstNode) -> dict[AstNode, int]:
-    """The depth of every inner node of ``root`` (``root`` itself is 0), from one walk."""
-    depths = {root: 0}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        depth = depths[node] + 1
-        for child in node.children:
-            if isinstance(child, AstNode):
-                depths[child] = depth
-                stack.append(child)
-    return depths
-
-
-def _parent_depth(root: AstNode, leaf: LeafToken) -> int:
-    """Depth of ``leaf``'s parent below ``root``; ``NotALeaf`` unless it is a leaf of ``root``."""
-    if not isinstance(leaf, LeafToken) or leaf.parent is None:
-        raise NotALeaf(f"{leaf!r} is not a leaf of the given tree")
-    node = leaf.parent
-    depth = 0
-    while node.parent is not None:
-        node = node.parent
-        depth += 1
-    if node is not root:
-        raise NotALeaf(f"leaf {leaf.text!r} does not belong to the given tree")
-    return depth
-
-
 def path_between(root: AstNode, a: LeafToken, b: LeafToken) -> PathContext:
-    """Context for the unique tree path from leaf ``a`` to leaf ``b``."""
-    depth_a = _parent_depth(root, a)
-    depth_b = _parent_depth(root, b)
+    """Context for the unique tree path from leaf ``a`` to leaf ``b``, from one
+    O(n) walk of the tree; for many pairs, ``all_path_contexts`` and
+    ``linker.build_profile`` walk it once per call."""
+    parents, depths = parents_and_depths(root)
+    for leaf in (a, b):
+        if not isinstance(leaf, LeafToken):
+            raise NotALeaf(f"{leaf!r} is not a leaf of the given tree")
+        if leaf not in parents:
+            raise NotALeaf(f"leaf {leaf.text!r} does not belong to the given tree")
     if a is b:
         raise SameLeaf(f"both endpoints are the same leaf {a.text!r}")
-    return context_at_depths(a, b, depth_a, depth_b)
+    return context_between(a, b, parents, depths)
 
 
-def context_at_depths(a: LeafToken, b: LeafToken, depth_a: int, depth_b: int) -> PathContext:
-    """``path_between`` without its checks, given the depths of both leaves' parents.
+def context_between(
+    a: LeafToken, b: LeafToken, parents: dict[Child, AstNode], depths: dict[AstNode, int]
+) -> PathContext:
+    """``path_between`` without its checks, given ``parents_and_depths`` of the tree.
 
-    Found by lifting both parents to equal depth and climbing in lockstep
-    until they meet at the LCA. The caller vouches that ``a`` and ``b`` are
-    distinct leaves of one tree, as they are when both come from ``leaves``
-    of it and the depths from ``node_depths`` of it.
+    Found by lifting the deeper of the two leaves' parents until both are at
+    equal depth, then both in lockstep until they meet at the LCA. The
+    caller vouches that ``a`` and ``b`` are distinct leaves of the tree the
+    maps come from.
     """
     up: list[str] = []
     down: list[str] = []
-    na, nb = a.parent, b.parent
-    while depth_a > depth_b:
-        up.append(na.label)
-        na = na.parent
-        depth_a -= 1
-    while depth_b > depth_a:
-        down.append(nb.label)
-        nb = nb.parent
-        depth_b -= 1
+    na, nb = parents[a], parents[b]
     while na is not nb:
-        up.append(na.label)
-        down.append(nb.label)
-        na = na.parent
-        nb = nb.parent
+        depth_a, depth_b = depths[na], depths[nb]
+        if depth_a >= depth_b:
+            up.append(na.label)
+            na = parents[na]
+        if depth_b >= depth_a:
+            down.append(nb.label)
+            nb = parents[nb]
     encoding = "".join(f"{label}{UP}" for label in up)
     encoding += na.label
     encoding += "".join(f"{DOWN}{label}" for label in reversed(down))
@@ -123,15 +99,14 @@ def all_path_contexts(
     if max_length < 0 or max_width < 0:
         raise ValueError("caps must be >= 0 (0 disables the cap)")
     leaf_list = leaves(root)
-    depths = node_depths(root)
+    parents, depths = parents_and_depths(root)
     contexts: list[PathContext] = []
     for i, source in enumerate(leaf_list):
-        source_depth = depths[source.parent]
         for j in range(i + 1, len(leaf_list)):
             if max_width and j - i > max_width:
                 break
             target = leaf_list[j]
-            context = context_at_depths(source, target, source_depth, depths[target.parent])
+            context = context_between(source, target, parents, depths)
             if max_length and context.node_count > max_length:
                 continue
             contexts.append(context)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import NoIdentifiers
 from .gaze import Fixation, GridPos, Recording
 from .hashing import SplitMix64
-from .minilang import AstNode, LeafToken, leaves
+from .minilang import AstNode, Child, LeafToken, leaves, parents_and_depths
 
 STRATEGY_NAMES = ("linear", "defuse")
 
@@ -40,14 +40,16 @@ def _midpoint(leaf: LeafToken) -> GridPos:
     return GridPos(span.start_line, (span.start_col + span.end_col) // 2)
 
 
-def _declared_identifiers(all_leaves: list[LeafToken]) -> list[tuple[LeafToken, list[LeafToken]]]:
+def _declared_identifiers(
+    all_leaves: list[LeafToken], parents: dict[Child, AstNode]
+) -> list[tuple[LeafToken, list[LeafToken]]]:
     """Declaration-name leaves in ``all_leaves`` paired with later same-text identifiers."""
     # A declaration's only Identifier leaf child is its name: an initializer
     # is an expression, where identifiers sit under a Name node.
     declarations = [
         leaf
         for leaf in all_leaves
-        if leaf.kind == "Identifier" and leaf.parent.label in _DECL_LABELS
+        if leaf.kind == "Identifier" and parents[leaf].label in _DECL_LABELS
     ]
     usable = []
     for decl in declarations:
@@ -83,7 +85,7 @@ def simulate(
         for i in range(n_fixations):
             targets.append(leaf_list[i % len(leaf_list)])
     else:
-        pairs = _declared_identifiers(leaf_list)
+        pairs = _declared_identifiers(leaf_list, parents_and_depths(root)[0])
         if not pairs:
             raise NoIdentifiers("no declared identifier is used again later")
         order = list(range(len(pairs)))

@@ -2,7 +2,8 @@
 
 These deliberately use different mechanisms than the package code: the
 mapping oracle scans every leaf of the tree for each fixation, the path
-oracle finds the LCA by set intersection over full parent chains, and the
+oracle finds the LCA by set intersection over full parent chains read from
+its own level-order map of parents keyed by ``id``, and the
 transition oracle recounts pairs with its own chain-walking loop keyed by
 oracle-computed context strings. The per-transition profile builder is the
 linker's former loop, kept verbatim: it builds and hashes one path context
@@ -30,8 +31,8 @@ from eye2vec.linker import (
     _nearest_leaf,
     _self_transition_context,
 )
-from eye2vec.minilang import AstNode, LeafToken, leaves
-from eye2vec.pathctx import PathContext, context_at_depths, node_depths
+from eye2vec.minilang import AstNode, LeafToken, leaves, parents_and_depths
+from eye2vec.pathctx import PathContext, context_between
 
 UP = "↑"
 DOWN = "↓"
@@ -70,19 +71,33 @@ def oracle_map_fixation(fixation: Fixation, root: AstNode, snap_tol_cols: int) -
     return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
 
 
-def _parent_chain(leaf: LeafToken) -> list[AstNode]:
+def oracle_parents(root: AstNode) -> dict[int, AstNode]:
+    """The parent of every node and leaf below ``root``, keyed by ``id``,
+    found level by level."""
+    parents: dict[int, AstNode] = {}
+    level = [root]
+    while level:
+        for node in level:
+            for child in node.children:
+                parents[id(child)] = node
+        level = [child for node in level for child in node.children if isinstance(child, AstNode)]
+    return parents
+
+
+def _parent_chain(parents: dict[int, AstNode], leaf: LeafToken) -> list[AstNode]:
     chain = []
-    node = leaf.parent
+    node = parents.get(id(leaf))
     while node is not None:
         chain.append(node)
-        node = node.parent
+        node = parents.get(id(node))
     return chain
 
 
-def oracle_context_string(a: LeafToken, b: LeafToken) -> str:
-    """Path context by set-intersection LCA over full parent chains."""
-    chain_a = _parent_chain(a)
-    chain_b = _parent_chain(b)
+def oracle_context_string(parents: dict[int, AstNode], a: LeafToken, b: LeafToken) -> str:
+    """Path context by set-intersection LCA over full parent chains, read
+    from ``oracle_parents`` of the leaves' tree."""
+    chain_a = _parent_chain(parents, a)
+    chain_b = _parent_chain(parents, b)
     positions = {id(node): i for i, node in enumerate(chain_a)}
     for j, node in enumerate(chain_b):
         if id(node) in positions:
@@ -112,6 +127,7 @@ def oracle_transition_counts(
     if options.chain == "skip":
         runs = [[leaf for run in runs for leaf in run]]
 
+    parents = oracle_parents(root)
     counts: dict[str, int] = {}
     total = 0
     for run in runs:
@@ -120,9 +136,9 @@ def oracle_transition_counts(
             if a is b:
                 if options.self_transitions == "drop":
                     continue
-                key = f"{a.text},{a.parent.label},{a.text}"
+                key = f"{a.text},{parents[id(a)].label},{a.text}"
             else:
-                key = oracle_context_string(a, b)
+                key = oracle_context_string(parents, a, b)
             counts[key] = counts.get(key, 0) + 1
             total += 1
     return counts, total
@@ -134,7 +150,7 @@ def oracle_build_profile_per_transition(
     """``build_profile`` as one loop that builds a context per transition."""
     options = options or LinkOptions()
     index = _line_index(root)
-    depths = node_depths(root)
+    parents, depths = parents_and_depths(root)
     keep_self = options.self_transitions == "keep"
     counts: dict[PathContext, int] = {}
     previous: LeafToken | None = None
@@ -148,11 +164,9 @@ def oracle_build_profile_per_transition(
             previous = leaf
             continue
         if previous is leaf:
-            context = _self_transition_context(leaf)
+            context = _self_transition_context(leaf, parents)
         else:
-            context = context_at_depths(
-                previous, leaf, depths[previous.parent], depths[leaf.parent]
-            )
+            context = context_between(previous, leaf, parents, depths)
         counts[context] = counts.get(context, 0) + 1
         previous = leaf
     return TransitionProfile.from_counts(recording.recording_id, counts)

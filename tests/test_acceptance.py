@@ -31,7 +31,7 @@ from eye2vec.linker import LinkOptions, TransitionProfile, build_profile
 from eye2vec.minilang import leaves, parse
 from eye2vec.pathctx import path_between
 from eye2vec.simulator import Strategy, simulate
-from oracles import oracle_context_string, oracle_transition_counts
+from oracles import oracle_context_string, oracle_parents, oracle_transition_counts
 from progen import generate_program
 
 
@@ -66,9 +66,10 @@ def test_criterion_1_path_oracle_equivalence():
             continue
         assert len(leaf_list) <= 30
         programs += 1
+        parents = oracle_parents(root)
         for a, b in itertools.combinations(leaf_list, 2):
-            assert path_between(root, a, b).context_string == oracle_context_string(a, b)
-            assert path_between(root, b, a).context_string == oracle_context_string(b, a)
+            assert path_between(root, a, b).context_string == oracle_context_string(parents, a, b)
+            assert path_between(root, b, a).context_string == oracle_context_string(parents, b, a)
             pairs += 2
     elapsed = time.time() - started
     assert elapsed < 10.0

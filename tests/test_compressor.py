@@ -142,6 +142,33 @@ class TestEyeVectorJson:
         with pytest.raises(FormatError):
             EyeVector.from_json('{"recording_id": "r"}')
 
+    @pytest.mark.parametrize("field,value", [
+        ("recording_id", 5),
+        ("recording_id", ""),
+        ("recording_id", None),
+        ("dim", True),
+        ("dim", 1.0),
+        ("dim", "1"),
+        ("normalized", "yes"),
+        ("normalized", 1),
+        ("meta", [["a", 1]]),
+        ("meta", None),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        data = {"recording_id": "r", "dim": 1, "normalized": False, "meta": {}, "values": [1.0]}
+        EyeVector.from_json(json.dumps(data))
+        data[field] = value
+        with pytest.raises(FormatError, match=field):
+            EyeVector.from_json(json.dumps(data))
+
+    def test_values_render_as_per_component_floats(self):
+        edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+        values = np.array(edge + list(np.random.default_rng(3).standard_normal(64)))
+        vector = EyeVector("r", len(values), values, False, {})
+        expected = json.dumps([float(v) for v in values])
+        assert json.dumps(json.loads(vector.to_json())["values"]) == expected
+        assert vector.to_json().endswith(f'"values": {expected}}}')
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(FormatError):
             EyeVector.from_json(

@@ -20,6 +20,7 @@ from eye2vec.simulator import Strategy, simulate
 from oracles import (
     oracle_build_profile_per_transition,
     oracle_map_fixation,
+    oracle_parents,
     oracle_transition_counts,
 )
 from progen import generate_program
@@ -119,7 +120,7 @@ class TestBuildProfile:
         assert profile.total_transitions == 1
         (ctx,) = profile.entries
         assert ctx.source_text == ctx.target_text == "count"
-        assert ctx.path_encoding == a.parent.label
+        assert ctx.path_encoding == oracle_parents(root)[id(a)].label == "Name"
 
     def test_duplicating_fixations_preserves_ratios(self, root):
         a = leaf_by_text(root, "count")

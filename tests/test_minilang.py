@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,12 @@ from eye2vec.minilang import (
     SourceSpan,
     ast_equal,
     leaves,
+    parents_and_depths,
     parse,
     pretty_print,
     tokenize,
 )
+from oracles import oracle_parents
 from progen import generate_program
 
 
@@ -226,6 +230,47 @@ class TestLeaves:
     def test_leaf_indices_consecutive(self):
         lv = leaves(parse("class A { int x = 1; int f(int p) { return p + x; } }"))
         assert [l.leaf_index for l in lv] == list(range(len(lv)))
+
+
+class TestParentsAndDepths:
+    def test_tree_is_freed_without_the_cycle_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            root = parse(sample_source("accumulator"))
+            refs = [weakref.ref(root), weakref.ref(leaves(root)[0])]
+            del root
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_field_with_initializer_tree(self):
+        root = parse("class A { int x = 1; }")
+        parents, depths = parents_and_depths(root)
+        (cls,) = root.children
+        name, field = cls.children
+        type_node, x, one = field.children
+        assert [parents[node] for node in (cls, name, field, type_node, x, one)] == [
+            root, cls, cls, field, field, field
+        ]
+        assert root not in parents
+        assert depths == {root: 0, cls: 1, field: 2, type_node: 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def test_matches_oracle_parents(self, seed):
+        root = parse(generate_program(seed))
+        parents, depths = parents_and_depths(root)
+        expected = oracle_parents(root)
+        assert {id(child): node for child, node in parents.items()} == expected
+        for node, depth in depths.items():
+            chain = 0
+            while id(node) in expected:
+                node = expected[id(node)]
+                chain += 1
+            assert node is root and depth == chain
+        assert len(depths) == 1 + sum(isinstance(child, AstNode) for child in parents)
 
 
 def _method(body):

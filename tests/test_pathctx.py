@@ -8,7 +8,7 @@ from eye2vec.errors import NotALeaf, SameLeaf
 from eye2vec.hashing import fnv1a64
 from eye2vec.minilang import leaves, parse
 from eye2vec.pathctx import all_path_contexts, path_between
-from oracles import oracle_context_string
+from oracles import oracle_context_string, oracle_parents
 from progen import generate_program
 
 
@@ -69,8 +69,13 @@ class TestPathBetween:
     def test_foreign_leaf_rejected(self):
         root = parse("class A { int x; }")
         other = parse("class B { int y; }")
-        with pytest.raises(NotALeaf):
+        with pytest.raises(NotALeaf, match="does not belong"):
             path_between(root, leaves(root)[0], leaves(other)[0])
+
+    def test_inner_node_rejected_before_same_leaf(self):
+        root = parse("class A { int x; }")
+        with pytest.raises(NotALeaf, match="is not a leaf"):
+            path_between(root, root.children[0], root.children[0])
 
     def test_exactly_one_unmarked_lca_label(self, accumulator_root):
         lv = leaves(accumulator_root)
@@ -87,8 +92,10 @@ class TestPathBetween:
     def test_matches_oracle_on_samples(self, sample_roots):
         for root in sample_roots.values():
             lv = leaves(root)
+            parents = oracle_parents(root)
             for a, b in itertools.combinations(lv, 2):
-                assert path_between(root, a, b).context_string == oracle_context_string(a, b)
+                expected = oracle_context_string(parents, a, b)
+                assert path_between(root, a, b).context_string == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,8 +177,9 @@ class TestAllPathContexts:
         contexts = all_path_contexts(root, max_length=0, max_width=2)
         pairs = [(i, j) for i in range(len(lv)) for j in range(i + 1, min(i + 3, len(lv)))]
         assert len(contexts) == len(pairs)
+        parents = oracle_parents(root)
         for context, (i, j) in zip(contexts, pairs):
-            assert context.context_string == oracle_context_string(lv[i], lv[j])
+            assert context.context_string == oracle_context_string(parents, lv[i], lv[j])
 
     def test_deterministic(self, accumulator_root):
         first = [c.context_string for c in all_path_contexts(accumulator_root)]
