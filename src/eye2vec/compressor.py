@@ -62,8 +62,11 @@ class EyeVector:
                 raise TypeError(f"normalized must be a boolean, not {type(normalized).__name__}")
             if not isinstance(meta, dict):
                 raise TypeError(f"meta must be a JSON object, not {type(meta).__name__}")
+            # exact types: a bool is an int, and numpy would convert "1.5"
+            if not {float, int}.issuperset(map(type, values)):
+                raise TypeError("values must be JSON numbers")
             return cls(recording_id, dim, values, normalized, dict(meta))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(1, f"bad eye-vector JSON: {exc}") from None
 
     @classmethod

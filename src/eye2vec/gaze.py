@@ -7,13 +7,22 @@ Two CSV layouts are accepted, distinguished by their mandatory headers:
 
 Neither format carries any personal identifier; a recording is just an id
 (derived from the file name) plus fixations.
+
+A recording holds its fixations as the four columns of its CSV, and
+``Recording.fixations`` builds ``Fixation`` objects only when asked.
+``read_fixations`` converts and checks whole columns; only when some row is
+bad does it run the row-by-row reader, whose one pass raises the error for
+the first bad row. ``convert_recording`` turns the x and y columns into line
+and col columns with ``to_grid``'s own arithmetic, building no objects.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError, OutOfViewport
@@ -61,14 +70,80 @@ class FontGrid:
                              "line_height_px positive")
 
 
-@dataclass
-class Recording:
-    recording_id: str
-    fixations: list[Fixation] = field(default_factory=list)
+_Columns = tuple[tuple, tuple, tuple, tuple]
 
-    def __post_init__(self) -> None:
-        if not self.recording_id:
+
+class Recording:
+    """A recording id and its fixations, held as four columns in CSV order.
+
+    ``columns`` is ``(timestamp_ms, x_px, y_px, duration_ms)`` when ``mode``
+    is ``"pixel"`` and ``(timestamp_ms, line, col, duration_ms)`` when it is
+    ``"grid"``. ``Recording(recording_id, fixations)`` transposes a list of
+    fixations; an empty list gives grid mode, and a list that mixes pixel and
+    grid positions is kept as it is, with mode and columns ``None``.
+    ``fixations`` builds a new list of ``Fixation`` on each access.
+    """
+
+    def __init__(self, recording_id: str, fixations: Iterable[Fixation] = ()) -> None:
+        if not recording_id:
             raise ValueError("recording_id must be nonempty")
+        self.recording_id = recording_id
+        fixations = list(fixations)
+        self._mixed: list[Fixation] = []
+        if all(isinstance(f.position, GridPos) for f in fixations):
+            self.mode: str | None = "grid"
+            first = tuple(f.position.line for f in fixations)
+            second = tuple(f.position.col for f in fixations)
+        elif all(isinstance(f.position, PixelPos) for f in fixations):
+            self.mode = "pixel"
+            first = tuple(f.position.x_px for f in fixations)
+            second = tuple(f.position.y_px for f in fixations)
+        else:
+            self.mode, self.columns, self._mixed = None, None, fixations
+            return
+        self.columns: _Columns | None = (
+            tuple(f.timestamp_ms for f in fixations), first, second,
+            tuple(f.duration_ms for f in fixations))
+
+    @classmethod
+    def _from_columns(cls, recording_id: str, mode: str, columns: _Columns) -> "Recording":
+        recording = cls(recording_id)
+        recording.mode, recording.columns = mode, columns
+        return recording
+
+    @property
+    def fixations(self) -> list[Fixation]:
+        if self.columns is None:
+            return list(self._mixed)
+        position = GridPos if self.mode == "grid" else PixelPos
+        return [Fixation(t, d, position(a, b)) for t, a, b, d in zip(*self.columns)]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Recording):
+            return NotImplemented
+        return (self.recording_id, self.fixations) == (other.recording_id, other.fixations)
+
+    def __repr__(self) -> str:
+        return f"Recording({self.recording_id!r}, {self.fixations!r})"
+
+
+def _cell(x_px: float, y_px: float, grid: FontGrid) -> tuple[int, int]:
+    """The 1-based (line, col) of pixel ``(x_px, y_px)`` on ``grid``; a pixel
+    left of, above or too far from the origin raises ``OutOfViewport``."""
+    if x_px < grid.origin_x_px or y_px < grid.origin_y_px:
+        raise OutOfViewport(
+            f"pixel ({x_px}, {y_px}) lies outside the pane origin "
+            f"({grid.origin_x_px}, {grid.origin_y_px})"
+        )
+    try:
+        line = math.floor((y_px - grid.origin_y_px) / grid.line_height_px) + 1
+        col = math.floor((x_px - grid.origin_x_px) / grid.char_width_px) + 1
+    except OverflowError:  # an offset or quotient beyond the largest double
+        raise OutOfViewport(
+            f"pixel ({x_px}, {y_px}) lies too far from the pane origin "
+            f"({grid.origin_x_px}, {grid.origin_y_px}) for a line and column"
+        ) from None
+    return line, col
 
 
 def to_grid(fixation: Fixation, grid: FontGrid) -> Fixation:
@@ -77,19 +152,7 @@ def to_grid(fixation: Fixation, grid: FontGrid) -> Fixation:
     pos = fixation.position
     if not isinstance(pos, PixelPos):
         raise TypeError("fixation is already in grid mode")
-    if pos.x_px < grid.origin_x_px or pos.y_px < grid.origin_y_px:
-        raise OutOfViewport(
-            f"pixel ({pos.x_px}, {pos.y_px}) lies outside the pane origin "
-            f"({grid.origin_x_px}, {grid.origin_y_px})"
-        )
-    try:
-        line = math.floor((pos.y_px - grid.origin_y_px) / grid.line_height_px) + 1
-        col = math.floor((pos.x_px - grid.origin_x_px) / grid.char_width_px) + 1
-    except OverflowError:  # an offset or quotient beyond the largest double
-        raise OutOfViewport(
-            f"pixel ({pos.x_px}, {pos.y_px}) lies too far from the pane origin "
-            f"({grid.origin_x_px}, {grid.origin_y_px}) for a line and column"
-        ) from None
+    line, col = _cell(pos.x_px, pos.y_px, grid)
     return Fixation(fixation.timestamp_ms, fixation.duration_ms, GridPos(line, col))
 
 
@@ -110,29 +173,46 @@ def _parse_float(value: str, row: int, name: str) -> float:
     return parsed
 
 
-def read_fixations(path: str | Path, mode: str) -> Recording:
-    """Load a fixation CSV; ``mode`` is ``"pixel"`` or ``"grid"``.
+def _parse_columns(body: list[list[str]], mode: str) -> _Columns | None:
+    """The columns of ``body`` if every row is good, else ``None``.
 
-    Raises FormatError (with the 1-based physical row) on a wrong header,
-    a row the CSV reader rejects (such as an oversized field), non-numeric
-    field, negative value, or decreasing timestamp.
+    Each column goes through the same ``int()`` or ``float()`` as in
+    ``_parse_rows``, and each of its checks is made over a whole column.
     """
-    if mode not in ("pixel", "grid"):
-        raise ValueError(f"mode must be 'pixel' or 'grid', got {mode!r}")
-    path = Path(path)
-    expected_header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
-    fixations: list[Fixation] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
-    if not rows or rows[0] != expected_header:
-        found = ",".join(rows[0]) if rows else "<empty file>"
-        raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
+    if not body:
+        return (), (), (), ()
+    if set(map(len, body)) != {4}:
+        return None
+    number = float if mode == "pixel" else int
+    text = list(zip(*body))
+    try:
+        timestamps, durations = tuple(map(int, text[0])), tuple(map(int, text[3]))
+        first, second = tuple(map(number, text[1])), tuple(map(number, text[2]))
+    except ValueError:
+        return None
+    if min(timestamps) < 0 or min(durations) <= 0:
+        return None
+    if not all(map(operator.le, timestamps, timestamps[1:])):
+        return None
+    if mode == "pixel":
+        if not (all(map(math.isfinite, first)) and all(map(math.isfinite, second))):
+            return None
+        if min(first) < 0 or min(second) < 0:
+            return None
+    elif min(first) < 1 or min(second) < 1:
+        return None
+    return timestamps, first, second, durations
+
+
+def _parse_rows(body: list[list[str]], mode: str) -> _Columns:
+    """The columns of ``body`` read row by row: the pass that raises
+    FormatError for the first bad row."""
+    timestamps: list[int] = []
+    firsts: list = []
+    seconds: list = []
+    durations: list[int] = []
     last_timestamp: int | None = None
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in enumerate(body, start=2):
         if len(row) != 4:
             raise FormatError(row_no, f"expected 4 fields, got {len(row)}")
         timestamp = _parse_int(row[0], row_no, "timestamp_ms")
@@ -145,19 +225,46 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
             raise FormatError(row_no, f"timestamp {timestamp} decreases below {last_timestamp}")
         last_timestamp = timestamp
         if mode == "pixel":
-            x = _parse_float(row[1], row_no, "x_px")
-            y = _parse_float(row[2], row_no, "y_px")
-            if x < 0 or y < 0:
+            first: int | float = _parse_float(row[1], row_no, "x_px")
+            second: int | float = _parse_float(row[2], row_no, "y_px")
+            if first < 0 or second < 0:
                 raise FormatError(row_no, "pixel coordinates must be non-negative")
-            position: PixelPos | GridPos = PixelPos(x, y)
         else:
-            line = _parse_int(row[1], row_no, "line")
-            col = _parse_int(row[2], row_no, "col")
-            if line < 1 or col < 1:
+            first = _parse_int(row[1], row_no, "line")
+            second = _parse_int(row[2], row_no, "col")
+            if first < 1 or second < 1:
                 raise FormatError(row_no, "line and col are 1-based and must be >= 1")
-            position = GridPos(line, col)
-        fixations.append(Fixation(timestamp, duration, position))
-    return Recording(recording_id=path.stem, fixations=fixations)
+        timestamps.append(timestamp)
+        firsts.append(first)
+        seconds.append(second)
+        durations.append(duration)
+    return tuple(timestamps), tuple(firsts), tuple(seconds), tuple(durations)
+
+
+def read_fixations(path: str | Path, mode: str) -> Recording:
+    """Load a fixation CSV; ``mode`` is ``"pixel"`` or ``"grid"``.
+
+    Raises FormatError (with the 1-based physical row) on a wrong header,
+    a row the CSV reader rejects (such as an oversized field), non-numeric
+    field, negative value, or decreasing timestamp.
+    """
+    if mode not in ("pixel", "grid"):
+        raise ValueError(f"mode must be 'pixel' or 'grid', got {mode!r}")
+    path = Path(path)
+    expected_header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
+    if not rows or rows[0] != expected_header:
+        found = ",".join(rows[0]) if rows else "<empty file>"
+        raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
+    columns = _parse_columns(rows[1:], mode)
+    if columns is None:
+        columns = _parse_rows(rows[1:], mode)
+    return Recording._from_columns(path.stem, mode, columns)
 
 
 def _format_pixel(value: float) -> str:
@@ -166,33 +273,38 @@ def _format_pixel(value: float) -> str:
 
 
 def format_fixations(recording: Recording) -> str:
-    """CSV text of a recording; the mode follows the fixation positions."""
-    grid_mode = all(f.is_grid for f in recording.fixations)
-    pixel_mode = all(not f.is_grid for f in recording.fixations)
-    if recording.fixations and not (grid_mode or pixel_mode):
+    """CSV text of a recording in its mode."""
+    if recording.columns is None:
         raise ValueError("recording mixes pixel and grid fixations")
-    header = GRID_HEADER if grid_mode else PIXEL_HEADER
-    lines = [",".join(header)]
-    for f in recording.fixations:
-        if isinstance(f.position, GridPos):
-            lines.append(f"{f.timestamp_ms},{f.position.line},{f.position.col},{f.duration_ms}")
-        else:
-            lines.append(
-                f"{f.timestamp_ms},{_format_pixel(f.position.x_px)},"
-                f"{_format_pixel(f.position.y_px)},{f.duration_ms}"
-            )
-    return "\n".join(lines) + "\n"
+    if recording.mode == "grid":
+        header = GRID_HEADER
+        rows = [f"{t},{line},{col},{d}" for t, line, col, d in zip(*recording.columns)]
+    else:
+        header = PIXEL_HEADER
+        rows = [f"{t},{_format_pixel(x)},{_format_pixel(y)},{d}"
+                for t, x, y, d in zip(*recording.columns)]
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def write_fixations(recording: Recording, path: str | Path) -> None:
-    """Write a recording back to CSV; the mode follows the fixation positions."""
+    """Write a recording back to CSV in its mode."""
     Path(path).write_text(format_fixations(recording), encoding="utf-8")
 
 
 def convert_recording(recording: Recording, grid: FontGrid) -> Recording:
-    """Apply ``to_grid`` to every fixation of a pixel-mode recording."""
-    converted = [to_grid(f, grid) for f in recording.fixations]
-    return Recording(recording.recording_id, converted)
+    """Apply ``to_grid`` to every fixation of a pixel-mode recording.
+
+    A pixel recording's x and y columns are converted cell by cell, so the
+    first bad row raises ``OutOfViewport``; a recording with grid fixations
+    raises ``to_grid``'s ``TypeError``.
+    """
+    if recording.mode != "pixel":
+        return Recording(recording.recording_id, [to_grid(f, grid) for f in recording.fixations])
+    timestamps, xs, ys, durations = recording.columns
+    cells = [_cell(x, y, grid) for x, y in zip(xs, ys)]
+    lines, cols = tuple(line for line, _ in cells), tuple(col for _, col in cells)
+    return Recording._from_columns(
+        recording.recording_id, "grid", (timestamps, lines, cols, durations))
 
 
 def read_labels(path: str | Path) -> dict[str, str]:

@@ -23,10 +23,9 @@ def fnv1a64(data: bytes | str) -> int:
     """FNV-1a over ``data`` (strings are hashed as their UTF-8 bytes)."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    h = FNV_OFFSET_BASIS
+    h, prime, mask = FNV_OFFSET_BASIS, FNV_PRIME, _MASK64
     for b in data:
-        h ^= b
-        h = (h * FNV_PRIME) & _MASK64
+        h = ((h ^ b) * prime) & mask
     return h
 
 

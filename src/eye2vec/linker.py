@@ -21,6 +21,8 @@ from .pathctx import PathContext, context_between, make_context
 
 DEFAULT_SNAP_TOL_COLS = 3
 
+_NOT_GRID = "fixation must be in grid mode; run the coordinate converter first"
+
 
 @dataclass(frozen=True)
 class MappedFixation:
@@ -130,7 +132,10 @@ def map_fixation(
     """
     if snap_tol_cols < 0:
         raise ValueError("snap_tol_cols must be >= 0")
-    leaf, distance = _nearest_leaf(fixation, _line_index(root), snap_tol_cols)
+    pos = fixation.position
+    if not isinstance(pos, GridPos):
+        raise TypeError(_NOT_GRID)
+    leaf, distance = _nearest_leaf(pos.line, pos.col, _line_index(root), snap_tol_cols)
     if leaf is None:
         return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
     if distance == 0:
@@ -156,30 +161,30 @@ def _line_index(root: AstNode) -> _LineIndex:
     return index
 
 
-def _nearest_leaf(fixation: Fixation, index: _LineIndex, tol: int) -> tuple[LeafToken | None, int]:
-    """The leaf ``map_fixation`` picks and its distance (0 for a hit, at
-    least 1 for a snap), or ``(None, 0)`` for a drop.
+def _nearest_leaf(
+    line: int, col: int, index: _LineIndex, tol: int
+) -> tuple[LeafToken | None, int]:
+    """The leaf ``map_fixation`` picks for a fixation at ``(line, col)`` and
+    its distance (0 for a hit, at least 1 for a snap), or ``(None, 0)`` for a
+    drop.
 
-    Bisects the fixation's line in ``index``: only the last leaf starting at
-    or before the column can contain it. Failing that, it and the next leaf
+    Bisects the line in ``index``: only the last leaf starting at or before
+    the column can contain the fixation. Failing that, it and the next leaf
     are the nearest on either side, and the first of them wins a tie.
     """
-    pos = fixation.position
-    if not isinstance(pos, GridPos):
-        raise TypeError("fixation must be in grid mode; run the coordinate converter first")
-    starts, row = index.get(pos.line, ((), ()))
-    i = bisect_right(starts, pos.col)
+    starts, row = index.get(line, ((), ()))
+    i = bisect_right(starts, col)
     best: LeafToken | None = None
     best_distance = tol + 1
     if i:
         left = row[i - 1]
-        distance = pos.col - left.span.end_col
+        distance = col - left.span.end_col
         if distance <= 0:
             return left, 0
         if distance < best_distance:
             best, best_distance = left, distance
-    if i < len(row) and starts[i] - pos.col < best_distance:
-        best, best_distance = row[i], starts[i] - pos.col
+    if i < len(row) and starts[i] - col < best_distance:
+        best, best_distance = row[i], starts[i] - col
     return (best, best_distance) if best is not None else (None, 0)
 
 
@@ -194,11 +199,12 @@ def build_profile(
 ) -> TransitionProfile:
     """Count transitions between consecutive mapped fixations.
 
-    Each fixation is mapped as by ``map_fixation``. With ``chain="skip"``
-    dropped fixations do not sever the sequence; with ``chain="strict"``
-    they do. Self transitions (same leaf twice) are dropped by default and
-    never break the chain. An empty result (zero transitions) is returned
-    as a valid, empty profile.
+    The recording's line and col columns are mapped as by ``map_fixation``;
+    a recording with pixel fixations raises ``TypeError``. With
+    ``chain="skip"`` dropped fixations do not sever the sequence; with
+    ``chain="strict"`` they do. Self transitions (same leaf twice) are
+    dropped by default and never break the chain. An empty result (zero
+    transitions) is returned as a valid, empty profile.
 
     One pass over the fixations counts each (leaf, leaf) pair; then each
     distinct pair's path context is built and hashed once and takes the
@@ -206,14 +212,17 @@ def build_profile(
     the profile in the order of their first transition.
     """
     options = options or LinkOptions()
+    if recording.mode != "grid" and (recording.columns is None or recording.columns[0]):
+        raise TypeError(_NOT_GRID)
+    _, lines, cols, _ = recording.columns
     index = _line_index(root)
     parents, depths = parents_and_depths(root)
     keep_self = options.self_transitions == "keep"
     # leaves hash by identity, so a pair key never compares leaf text
     pairs: dict[tuple[LeafToken, LeafToken], int] = {}
     previous: LeafToken | None = None
-    for fixation in recording.fixations:
-        leaf, _ = _nearest_leaf(fixation, index, options.snap_tol_cols)
+    for line, col in zip(lines, cols):
+        leaf, _ = _nearest_leaf(line, col, index, options.snap_tol_cols)
         if leaf is None:
             if options.chain == "strict":
                 previous = None

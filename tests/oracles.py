@@ -11,18 +11,23 @@ for every transition, where the linker builds one per distinct leaf pair.
 The analysis oracles take one ``np.dot`` per pair and group training vectors
 by label in a dict, fold by fold. The fallback-vector oracle steps the
 scalar splitmix64 generator once per component, and the table-row oracle is
-``load_table``'s former per-component ``float()`` loop.
+``load_table``'s former per-component ``float()`` loop. The fixation reader
+oracle is ``read_fixations``'s former row loop, which builds one
+``Fixation`` per row, and the FNV oracle is ``fnv1a64``'s former two
+statements per byte.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
 from eye2vec.errors import FormatError, ZeroVectorError
-from eye2vec.gaze import Fixation, GridPos, Recording
-from eye2vec.hashing import SplitMix64, fnv1a64
+from eye2vec.gaze import GRID_HEADER, PIXEL_HEADER, Fixation, GridPos, PixelPos, Recording
+from eye2vec.hashing import FNV_OFFSET_BASIS, FNV_PRIME, SplitMix64, fnv1a64
 from eye2vec.linker import (
     LinkOptions,
     MappedFixation,
@@ -155,7 +160,8 @@ def oracle_build_profile_per_transition(
     counts: dict[PathContext, int] = {}
     previous: LeafToken | None = None
     for fixation in recording.fixations:
-        leaf, _ = _nearest_leaf(fixation, index, options.snap_tol_cols)
+        pos = fixation.position
+        leaf, _ = _nearest_leaf(pos.line, pos.col, index, options.snap_tol_cols)
         if leaf is None:
             if options.chain == "strict":
                 previous = None
@@ -233,3 +239,74 @@ def oracle_table_row(components: list[str], line_no: int) -> np.ndarray:
     if not np.all(np.isfinite(vector)):
         raise FormatError(line_no, "vector components must be finite")
     return vector
+
+
+def oracle_fnv1a64(data: bytes | str) -> int:
+    """FNV-1a with the xor and the masked multiply as two statements per byte."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    h = FNV_OFFSET_BASIS
+    for b in data:
+        h ^= b
+        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def _oracle_int(value: str, row: int, name: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise FormatError(row, f"field {name!r} must be an integer, got {value!r}") from None
+
+
+def _oracle_float(value: str, row: int, name: str) -> float:
+    try:
+        parsed = float(value)
+    except ValueError:
+        raise FormatError(row, f"field {name!r} must be a number, got {value!r}") from None
+    if not math.isfinite(parsed):
+        raise FormatError(row, f"field {name!r} must be finite, got {value!r}")
+    return parsed
+
+
+def oracle_read_fixations(path: str | Path, mode: str) -> Recording:
+    """A fixation CSV read row by row into one ``Fixation`` per row."""
+    path = Path(path)
+    expected_header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
+    fixations: list[Fixation] = []
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
+    if not rows or rows[0] != expected_header:
+        found = ",".join(rows[0]) if rows else "<empty file>"
+        raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
+    last_timestamp: int | None = None
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != 4:
+            raise FormatError(row_no, f"expected 4 fields, got {len(row)}")
+        timestamp = _oracle_int(row[0], row_no, "timestamp_ms")
+        duration = _oracle_int(row[3], row_no, "duration_ms")
+        if timestamp < 0:
+            raise FormatError(row_no, "timestamp_ms must be non-negative")
+        if duration <= 0:
+            raise FormatError(row_no, "duration_ms must be positive")
+        if last_timestamp is not None and timestamp < last_timestamp:
+            raise FormatError(row_no, f"timestamp {timestamp} decreases below {last_timestamp}")
+        last_timestamp = timestamp
+        if mode == "pixel":
+            x = _oracle_float(row[1], row_no, "x_px")
+            y = _oracle_float(row[2], row_no, "y_px")
+            if x < 0 or y < 0:
+                raise FormatError(row_no, "pixel coordinates must be non-negative")
+            position: PixelPos | GridPos = PixelPos(x, y)
+        else:
+            line = _oracle_int(row[1], row_no, "line")
+            col = _oracle_int(row[2], row_no, "col")
+            if line < 1 or col < 1:
+                raise FormatError(row_no, "line and col are 1-based and must be >= 1")
+            position = GridPos(line, col)
+        fixations.append(Fixation(timestamp, duration, position))
+    return Recording(recording_id=path.stem, fixations=fixations)

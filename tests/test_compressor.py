@@ -161,6 +161,22 @@ class TestEyeVectorJson:
         with pytest.raises(FormatError, match=field):
             EyeVector.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("values", [["1.5", True], [True, False], ["x", 1.0], [[1.0], 2.0]])
+    def test_values_that_are_not_numbers_rejected(self, values):
+        data = {"recording_id": "r", "dim": 2, "normalized": False, "meta": {}, "values": values}
+        with pytest.raises(FormatError, match="values must be JSON numbers"):
+            EyeVector.from_json(json.dumps(data))
+
+    def test_integer_values_read_as_floats(self):
+        data = {"recording_id": "r", "dim": 2, "normalized": False, "meta": {}, "values": [3, -0.5]}
+        assert EyeVector.from_json(json.dumps(data)).values.tolist() == [3.0, -0.5]
+
+    def test_integer_beyond_any_double_rejected(self):
+        text = ('{"recording_id": "r", "dim": 1, "normalized": false, "meta": {}, "values": ['
+                + "9" * 400 + "]}")
+        with pytest.raises(FormatError, match="too large"):
+            EyeVector.from_json(text)
+
     def test_values_render_as_per_component_floats(self):
         edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
         values = np.array(edge + list(np.random.default_rng(3).standard_normal(64)))

@@ -1,9 +1,15 @@
+import csv
+import io
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eye2vec import gaze
 from eye2vec.errors import FormatError, OutOfViewport
 from eye2vec.gaze import (
+    GRID_HEADER,
+    PIXEL_HEADER,
     Fixation,
     FontGrid,
     GridPos,
@@ -15,6 +21,7 @@ from eye2vec.gaze import (
     to_grid,
     write_fixations,
 )
+from oracles import oracle_read_fixations
 
 
 def write(tmp_path, name, text):
@@ -226,3 +233,172 @@ class TestReadLabels:
 def test_recording_requires_id():
     with pytest.raises(ValueError):
         Recording("")
+
+
+class TestRecordingColumns:
+    def test_fixation_list_becomes_columns(self):
+        fixations = [Fixation(0, 10, GridPos(1, 2)), Fixation(5, 20, GridPos(3, 4))]
+        recording = Recording("r", fixations)
+        assert recording.mode == "grid"
+        assert recording.columns == ((0, 5), (1, 3), (2, 4), (10, 20))
+        assert recording.fixations == fixations
+
+    def test_fixations_is_a_new_list_each_time(self):
+        recording = Recording("r", [Fixation(0, 10, PixelPos(1.5, 2.5))])
+        assert recording.mode == "pixel"
+        recording.fixations.clear()
+        assert recording.fixations == [Fixation(0, 10, PixelPos(1.5, 2.5))]
+
+    def test_mixed_list_kept_without_columns(self):
+        fixations = [Fixation(0, 1, GridPos(1, 1)), Fixation(1, 1, PixelPos(1, 1))]
+        recording = Recording("m", fixations)
+        assert (recording.mode, recording.columns) == (None, None)
+        assert recording.fixations == fixations
+
+    def test_equality_compares_id_and_fixations(self, tmp_path):
+        path = write(tmp_path, "r.csv", "timestamp_ms,line,col,duration_ms\n0,1,2,10\n")
+        assert read_fixations(path, "grid") == Recording("r", [Fixation(0, 10, GridPos(1, 2))])
+        assert read_fixations(path, "grid") != Recording("s", [Fixation(0, 10, GridPos(1, 2))])
+
+    def test_empty_pixel_recording_writes_pixel_header(self, tmp_path):
+        path = write(tmp_path, "e.csv", "timestamp_ms,x_px,y_px,duration_ms\n")
+        write_fixations(read_fixations(path, "pixel"), tmp_path / "back.csv")
+        assert (tmp_path / "back.csv").read_text(encoding="utf-8") == path.read_text()
+        assert Recording("e").mode == "grid"
+
+
+# Fields that int() or float() read in ways a numeric parser may not (digit
+# separators, padding, other scripts' digits), and fields both must reject.
+_ODD_FIELDS = ["1_0", " 12", "12 ", "+7", "-0", "0", "-1", "2.5", "1e3", "inf", "-inf", "nan",
+               "1e400", "-1e400", "10**30", str(10**30), "", "x", "١٢", "9" * 5000]
+
+
+@st.composite
+def _body(draw, mode):
+    """Rows of a fixation CSV body: mostly good, some with an odd field, a
+    wrong field count or a timestamp below the one before."""
+    rows = []
+    timestamp = draw(st.integers(-1, 5))
+    for _ in range(draw(st.integers(0, 6))):
+        timestamp += draw(st.integers(-2, 400))
+        if mode == "pixel":
+            position = [repr(draw(st.floats(-1, 1e308) | st.floats(0, 3000))) for _ in "xy"]
+        else:
+            position = [str(draw(st.integers(0, 200))) for _ in "lc"]
+        row = [str(timestamp), *position, str(draw(st.integers(0, 400)))]
+        fault = draw(st.integers(0, 11))
+        if fault == 0:
+            row[draw(st.integers(0, 3))] = draw(st.sampled_from(_ODD_FIELDS))
+        elif fault == 1:
+            row = draw(st.sampled_from([row[:3], row + ["1"]]))
+        rows.append(",".join(row))
+    return rows
+
+
+def _outcome(reader, path, mode):
+    try:
+        recording = reader(path, mode)
+    except FormatError as exc:
+        return "error", exc.row, exc.message
+    return "ok", recording.recording_id, recording.fixations
+
+
+class TestReadAgainstRowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(["pixel", "grid"]).flatmap(
+        lambda mode: st.tuples(st.just(mode), _body(mode))))
+    @example(case=("pixel", []))
+    @example(case=("grid", []))
+    def test_same_fixations_or_same_error(self, tmp_path_factory, case):
+        mode, body = case
+        header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
+        text = "\n".join([",".join(header), *body]) + "\n"
+        path = tmp_path_factory.mktemp("csv") / "rec.csv"
+        path.write_text(text, encoding="utf-8")
+        want = _outcome(oracle_read_fixations, path, mode)
+        assert _outcome(read_fixations, path, mode) == want
+        # the column checks pass exactly the files the row loop accepts
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert (gaze._parse_columns(rows, mode) is not None) == (want[0] == "ok")
+        if want[0] == "ok":
+            assert read_fixations(path, mode).mode == mode
+
+    @pytest.mark.parametrize("mode,body,row", [
+        ("pixel", ["0,1_0, 12,10", "5,inf,1,10"], 3),
+        ("pixel", ["0,1,1,10", "5,1,nan,10"], 3),
+        ("pixel", ["0,1,1,10", "5,1e400,1,10"], 3),
+        ("pixel", ["0,1,1,10", "5,1,-0.5,10"], 3),
+        ("grid", ["0,1,1,10", "5,10**30,1,10"], 3),
+        ("grid", ["0,1,1,10", "5,1,1,10", "4,1,1,10"], 4),
+        ("grid", ["0,1,1,10", "5,1,1", "x,1,1,10"], 3),
+        ("grid", ["0,1,1,10", "5,1,1,-3"], 3),
+    ])
+    def test_first_bad_row_reported(self, tmp_path, mode, body, row):
+        header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
+        path = write(tmp_path, "bad.csv", "\n".join([",".join(header), *body]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_fixations(path, mode)
+        assert exc.value.row == row
+        assert _outcome(read_fixations, path, mode) == _outcome(oracle_read_fixations, path, mode)
+
+    def test_python_number_syntax_accepted_as_by_the_row_loop(self, tmp_path):
+        path = write(tmp_path, "odd.csv", "timestamp_ms,line,col,duration_ms\n1_0, 12,١٢,+7\n")
+        (fixation,) = read_fixations(path, "grid").fixations
+        assert fixation == Fixation(10, 7, GridPos(12, 12))
+
+
+def _per_row(recording, grid):
+    try:
+        return "ok", [to_grid(f, grid) for f in recording.fixations]
+    except OutOfViewport as exc:
+        return "error", str(exc)
+
+
+def _converted(recording, grid):
+    try:
+        converted = convert_recording(recording, grid)
+    except OutOfViewport as exc:
+        return "error", str(exc)
+    assert converted.mode == "grid"
+    assert all(type(v) is int for column in converted.columns for v in column)
+    return "ok", converted.fixations
+
+
+_PIXEL = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(0, 3000) | st.integers(0, 2**60))
+
+
+class TestConvertAgainstToGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pixels=st.lists(st.tuples(_PIXEL, _PIXEL), max_size=6),
+        origin=st.tuples(st.floats(-1e308, 1e308) | st.floats(0, 500), st.floats(0, 500)),
+        cell=st.tuples(st.floats(1e-310, 1e308) | st.floats(0.5, 40), st.floats(0.5, 60)),
+    )
+    @example(pixels=[(5.0, 5.0), (-1.0, 5.0), (3.0, -7.0)], origin=(0.0, 0.0), cell=(10.0, 20.0))
+    @example(pixels=[(5.0, 5.0), (1.7e308, 5.0)], origin=(0.0, 0.0), cell=(0.5, 20.0))
+    @example(pixels=[(5.0, 5.0), (1.7e308, 5.0)], origin=(-1.7e308, 0.0), cell=(10.0, 20.0))
+    @example(pixels=[(5.0, 1e300)], origin=(0.0, 0.0), cell=(10.0, 1e-10))
+    @example(pixels=[(2.0**53 - 1, 2.0**53), (2.0**60, 3.0)], origin=(0.0, 0.0), cell=(1.0, 1.0))
+    @example(pixels=[(3.0, 2.0**53)], origin=(0.0, 0.0), cell=(1.0, 1.0))
+    @example(pixels=[(2.0**63, 2.0**64)], origin=(0.0, 0.0), cell=(1.0, 1.0))
+    @example(pixels=[(2**53 + 1, 1.0)], origin=(2, 0), cell=(1, 1))
+    @example(pixels=[(1.0, 2**53 + 1)], origin=(0, 2), cell=(1, 1))
+    @example(pixels=[(2.0**53, 1.0)], origin=(2**53 + 1, 0), cell=(1, 1))
+    @example(pixels=[(-0.0, 5.0)], origin=(0.0, 0.0), cell=(10.0, 20.0))
+    def test_same_cells_or_same_error(self, pixels, origin, cell):
+        grid = FontGrid(*origin, *cell)
+        recording = Recording("r", [Fixation(i, 1, PixelPos(*xy)) for i, xy in enumerate(pixels)])
+        assert _converted(recording, grid) == _per_row(recording, grid)
+
+    def test_grid_and_mixed_recordings_raise_as_to_grid_does(self):
+        grid = FontGrid(10, 10, 10, 20)
+        assert convert_recording(Recording("e"), grid).fixations == []
+        with pytest.raises(TypeError):
+            convert_recording(Recording("g", [Fixation(0, 1, GridPos(1, 1))]), grid)
+        ok, grid_fix, outside = (Fixation(0, 1, PixelPos(15, 15)), Fixation(1, 1, GridPos(1, 1)),
+                                 Fixation(2, 1, PixelPos(5, 5)))
+        with pytest.raises(TypeError):
+            convert_recording(Recording("m", [ok, grid_fix, outside]), grid)
+        with pytest.raises(OutOfViewport):
+            convert_recording(Recording("m", [ok, outside, grid_fix]), grid)

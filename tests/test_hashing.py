@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eye2vec.hashing import SplitMix64, splitmix64_block
+from eye2vec.hashing import SplitMix64, fnv1a64, splitmix64_block
+from oracles import oracle_fnv1a64
 
 
 @settings(max_examples=300, deadline=None)
@@ -26,3 +27,13 @@ def test_block_masks_seed_like_the_class():
 def test_block_rejects_negative_length():
     with pytest.raises(ValueError):
         splitmix64_block(1, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=64) | st.text(max_size=32))
+@example(data=b"")
+@example(data="")
+@example(data="x\u00e9\u4e2d\U0001f600")
+@example(data=bytes(range(256)))
+def test_fnv1a64_matches_two_statement_loop(data):
+    assert fnv1a64(data) == oracle_fnv1a64(data)

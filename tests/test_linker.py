@@ -7,7 +7,18 @@ from hypothesis import strategies as st
 
 from eye2vec.compressor import compress
 from eye2vec.data import sample_source
-from eye2vec.gaze import Fixation, GridPos, PixelPos, Recording
+from eye2vec.gaze import (
+    PIXEL_HEADER,
+    Fixation,
+    FontGrid,
+    GridPos,
+    PixelPos,
+    Recording,
+    convert_recording,
+    format_fixations,
+    read_fixations,
+    write_fixations,
+)
 from eye2vec.linker import (
     LinkOptions,
     TransitionProfile,
@@ -89,6 +100,17 @@ class TestMapFixation:
     def test_pixel_fixation_rejected(self, root):
         with pytest.raises(TypeError):
             map_fixation(Fixation(0, 100, PixelPos(1, 1)), root)
+
+    def test_pixel_and_mixed_recordings_rejected(self, root):
+        pixel, grid = Fixation(0, 100, PixelPos(1, 1)), Fixation(1, 100, GridPos(1, 1))
+        for fixations in ([pixel], [grid, pixel]):
+            with pytest.raises(TypeError, match="grid mode"):
+                build_profile(Recording("p", fixations), root)
+
+    def test_empty_pixel_recording_gives_empty_profile(self, root, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("timestamp_ms,x_px,y_px,duration_ms\n", encoding="utf-8")
+        assert build_profile(read_fixations(path, "pixel"), root).is_empty
 
 
 class TestBuildProfile:
@@ -352,6 +374,29 @@ class TestAgainstOracle:
         recording = _revisiting_recording(data, source, root)
         options = LinkOptions(snap_tol_cols=tol, self_transitions=self_transitions, chain=chain)
         _assert_same_as_per_transition(recording, root, options, small_table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=_sources(), data=st.data())
+    def test_recording_read_from_csv_links_as_fixation_list(self, tmp_path_factory, source, data):
+        # the CSV keeps lines and columns from 1; the pixel file holds cell centres
+        root = parse(source)
+        fixations = [f for f in _recording(data, source, root).fixations
+                     if min(f.position.line, f.position.col) >= 1]
+        want = build_profile(Recording("r", fixations), root).to_json()
+        grid_csv = tmp_path_factory.mktemp("grid") / "r.csv"
+        write_fixations(Recording("r", fixations), grid_csv)
+        assert build_profile(read_fixations(grid_csv, "grid"), root).to_json() == want
+        pixels = [Fixation(f.timestamp_ms, f.duration_ms,
+                           PixelPos(73.0 + (f.position.col - 0.5) * 12.0,
+                                    37.0 + (f.position.line - 0.5) * 16.0))
+                  for f in fixations]
+        pixel_csv = tmp_path_factory.mktemp("pixel") / "r.csv"
+        pixel_csv.write_text(format_fixations(Recording("r", pixels)) if pixels
+                             else ",".join(PIXEL_HEADER) + "\n", encoding="utf-8")
+        converted = convert_recording(read_fixations(pixel_csv, "pixel"),
+                                      FontGrid(73.0, 37.0, 12.0, 16.0))
+        assert converted.fixations == fixations
+        assert build_profile(converted, root).to_json() == want
 
     @pytest.mark.parametrize("chain", ["skip", "strict"])
     @pytest.mark.parametrize("self_transitions", ["keep", "drop"])
