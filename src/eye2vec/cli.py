@@ -15,13 +15,13 @@ from pathlib import Path
 
 from . import analysis, gaze, linker, simulator
 from .compressor import EyeVector, compress, read_eye_vector
-from .embeddings import DEFAULT_DIM, DEFAULT_SEED, EmbeddingTable, load_table
+from .embeddings import DEFAULT_DIM, DEFAULT_SEED, MAX_DIM, EmbeddingTable, load_table
 from .errors import Eye2vecError, FormatError
 from .minilang import parse
 from .pathctx import DEFAULT_MAX_LENGTH, DEFAULT_MAX_WIDTH, all_path_contexts
 
 
-def _int_at_least(minimum: int):
+def _int_at_least(minimum: int, maximum: int | None = None):
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -29,6 +29,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {maximum}, got {value}")
         return value
 
     return convert
@@ -70,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_vectorize)
     _add_link_flags(p)
     p.add_argument("--emb", help="embedding TSV; absent keys use the seeded fallback")
-    p.add_argument("--dim", type=_int_at_least(1), default=None,
+    p.add_argument("--dim", type=_int_at_least(1, MAX_DIM), default=None,
                    help=f"embedding dimension when no table is given (default {DEFAULT_DIM})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="fallback embedding seed")
     p.add_argument("--no-normalize", action="store_true")

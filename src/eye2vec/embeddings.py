@@ -28,6 +28,9 @@ from .pathctx import PathContext
 HEADER_PREFIX = "eye2vec-embeddings v1 dim="
 DEFAULT_DIM = 128
 DEFAULT_SEED = 42
+# The largest embedding dimension accepted, checked before any vector is
+# allocated; an eye vector then holds at most 3 * MAX_DIM floats (1.5 MiB).
+MAX_DIM = 65536
 
 
 @dataclass
@@ -42,6 +45,8 @@ class EmbeddingTable:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be positive")
+        if self.dim > MAX_DIM:
+            raise ValueError(f"dim must be at most {MAX_DIM}")
         self.fallback_seed &= 0xFFFFFFFFFFFFFFFF
         for key, vec in self.entries.items():
             arr = np.asarray(vec, dtype=np.float64)
@@ -63,6 +68,8 @@ def load_table(path: str | Path) -> EmbeddingTable:
         raise FormatError(1, "dimension in header is not an integer") from None
     if dim < 1:
         raise FormatError(1, "dimension must be positive")
+    if dim > MAX_DIM:
+        raise FormatError(1, f"dimension must be at most {MAX_DIM}")
 
     entries: dict[str, np.ndarray] = {}
     for line_no, line in enumerate(lines[1:], start=2):

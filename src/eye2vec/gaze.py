@@ -49,10 +49,6 @@ class Fixation:
     duration_ms: int
     position: PixelPos | GridPos
 
-    @property
-    def is_grid(self) -> bool:
-        return isinstance(self.position, GridPos)
-
 
 @dataclass(frozen=True)
 class FontGrid:

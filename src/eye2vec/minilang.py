@@ -1,9 +1,15 @@
 """Tokenizer and precedence-climbing parser for a small Java-like language.
 
-Every token and AST node carries an exact 1-based line/column span over the
+Every leaf and AST node carries an exact 1-based line/column span over the
 original text, which is what lets gaze positions be matched against syntax.
 Keywords and punctuation are parsed but never become tree leaves; the leaves
 are identifiers, literals, and type names.
+
+The parser reads a flat stream of ``(kind, lexeme, line, col)`` tuples and
+builds a ``SourceSpan`` only for each leaf and node it makes; every token is
+on one line, so its end column is ``col + len(lexeme) - 1``. The public
+``tokenize`` builds its ``Token`` objects, spans included, from the same
+stream.
 
 A ``ParseError`` points just past the last consumed token (1:1 before the
 first), where the expected construct should begin, and names the token found
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -84,15 +91,6 @@ class SourceSpan:
     end_line: int
     end_col: int
 
-    def contains(self, line: int, col: int) -> bool:
-        if line < self.start_line or line > self.end_line:
-            return False
-        if line == self.start_line and col < self.start_col:
-            return False
-        if line == self.end_line and col > self.end_col:
-            return False
-        return True
-
 
 def _cover(first: SourceSpan, last: SourceSpan) -> SourceSpan:
     """The span from the start of ``first`` to the end of ``last``."""
@@ -107,11 +105,20 @@ class Token(NamedTuple):
     span: SourceSpan
 
 
+# A scanned token: (kind, lexeme, line, col), all on one line.
+_Tok = tuple[str, str, int, int]
+
 # The parser appends this token, so a next token always exists; no other
-# token has its kind. It ends at 1:0, so before the first token the "last
-# consumed" one, tokens[-1], puts an error at 1:1.
+# token has its kind. It is empty at 1:1, so before the first token the
+# "last consumed" one, tokens[-1], puts an error at 1:1.
 _END = "end of input"
-_END_TOKEN = Token(_END, "", SourceSpan(1, 0, 1, 0))
+_END_TOKEN: _Tok = (_END, "", 1, 1)
+
+
+def _through(start_line: int, start_col: int, last: _Tok) -> SourceSpan:
+    """The span from ``start_line``:``start_col`` to the end of token ``last``."""
+    _, lexeme, line, col = last
+    return SourceSpan(start_line, start_col, line, col + len(lexeme) - 1)
 
 
 @dataclass(eq=False)
@@ -137,31 +144,41 @@ Child = AstNode | LeafToken
 def tokenize(source_text: str) -> list[Token]:
     """Scan ``source_text`` into tokens; comments and whitespace are skipped
     but still advance line/column positions."""
-    tokens: list[Token] = []
+    return [
+        Token(kind, lexeme, SourceSpan(line, col, line, col + len(lexeme) - 1))
+        for kind, lexeme, line, col in _scan(source_text)
+    ]
+
+
+def _scan(source_text: str) -> Iterator[_Tok]:
+    """``tokenize`` as flat ``(kind, lexeme, line, col)`` tuples."""
     line, line_start = 1, 0  # line_start: offset of the current line's first character
     for match in _TOKEN_RE.finditer(source_text):
-        group, lexeme, offset = match.lastgroup, match.group(), match.start()
-        col = offset - line_start + 1
+        group, lexeme = match.lastgroup, match[0]
         if group == "skip":
             if "\n" in lexeme:
                 line += lexeme.count("\n")
-                line_start = offset + lexeme.rindex("\n") + 1
+                line_start = match.start() + lexeme.rindex("\n") + 1
             continue
-        if group == "word" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
-            group, lexeme = "bad", lexeme[0]
-        if group == "bad":
-            raise LexError(line, col, f"unrecognized character {lexeme!r}")
-        if group == "unterminated":
-            what = "block comment" if lexeme == "/*" else "string literal"
-            raise LexError(line, col, f"unterminated {what}")
-        if group == "IntLit" and not _fits_int64(lexeme):
-            raise LexError(line, col, f"integer literal out of 64-bit signed range: {lexeme}")
-        if group == "word":
-            kind = _WORD_KINDS.get(lexeme, "Identifier")
+        col = match.start() - line_start + 1
+        if group == "op":
+            yield lexeme, lexeme, line, col
+        elif group == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            yield _WORD_KINDS.get(lexeme, "Identifier"), lexeme, line, col
+        elif group == "StrLit" or (group == "IntLit" and _fits_int64(lexeme)):
+            yield group, lexeme, line, col
         else:
-            kind = lexeme if group == "op" else group
-        tokens.append(Token(kind, lexeme, SourceSpan(line, col, line, col + len(lexeme) - 1)))
-    return tokens
+            raise _lex_error(group, lexeme, line, col)
+
+
+def _lex_error(group: str, lexeme: str, line: int, col: int) -> LexError:
+    if group == "IntLit":
+        return LexError(line, col, f"integer literal out of 64-bit signed range: {lexeme}")
+    if group == "unterminated":
+        what = "block comment" if lexeme == "/*" else "string literal"
+        return LexError(line, col, f"unterminated {what}")
+    # a bad character, or a word that starts with one
+    return LexError(line, col, f"unrecognized character {lexeme[0]!r}")
 
 
 def _fits_int64(digits: str) -> bool:
@@ -173,7 +190,7 @@ def _fits_int64(digits: str) -> bool:
 
 def parse(source_text: str) -> AstNode:
     """Parse ``source_text`` into a Program tree with spans on every node."""
-    return _Parser(tokenize(source_text)).parse_program()
+    return _Parser(_scan(source_text)).parse_program()
 
 
 def leaves(root: AstNode) -> list[LeafToken]:
@@ -206,7 +223,7 @@ def parents_and_depths(root: AstNode) -> tuple[dict[Child, AstNode], dict[AstNod
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: Iterable[_Tok]):
         self.tokens = [*tokens, _END_TOKEN]
         self.pos = 0
         # Statements and expressions open at the current position.
@@ -217,28 +234,29 @@ class _Parser:
     # token plumbing ---------------------------------------------------
 
     def _at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.tokens[self.pos][0] == kind
 
-    def _advance(self) -> Token:
+    def _advance(self) -> _Tok:
         self.pos += 1
         return self.tokens[self.pos - 1]
 
     def _accept(self, kind: str) -> bool:
         """Consume the next token if it is of ``kind``."""
-        if self.tokens[self.pos].kind != kind:
+        if self.tokens[self.pos][0] != kind:
             return False
         self.pos += 1
         return True
 
-    def _expect(self, kind: str, expected: str | None = None) -> Token:
+    def _expect(self, kind: str, expected: str | None = None) -> _Tok:
         if self._at(kind):
             return self._advance()
         self._fail(expected or f"'{kind}'")
 
     def _fail(self, expected: str) -> None:
-        last, tok = self.tokens[self.pos - 1].span, self.tokens[self.pos]
-        found = _END if tok.kind == _END else f"'{tok.lexeme}'"
-        raise ParseError(last.end_line, last.end_col + 1, expected, found)
+        _, last_lexeme, line, col = self.tokens[self.pos - 1]
+        kind, lexeme, _, _ = self.tokens[self.pos]
+        found = _END if kind == _END else f"'{lexeme}'"
+        raise ParseError(line, col + len(last_lexeme), expected, found)
 
     def _nest(self) -> None:
         """Open one more statement or expression; the caller closes it."""
@@ -249,12 +267,15 @@ class _Parser:
     def _span_from(self, start_index: int) -> SourceSpan:
         if start_index >= self.pos:  # zero-token construct (empty program)
             return SourceSpan(1, 1, 1, 1)
-        return _cover(self.tokens[start_index].span, self.tokens[self.pos - 1].span)
+        _, _, start_line, start_col = self.tokens[start_index]
+        return _through(start_line, start_col, self.tokens[self.pos - 1])
 
-    def _leaf(self, tok: Token, kind: str) -> LeafToken:
-        return LeafToken(tok.lexeme, kind, tok.span, next(self.leaf_indices))
+    def _leaf(self, tok: _Tok, kind: str) -> LeafToken:
+        _, lexeme, line, col = tok
+        span = SourceSpan(line, col, line, col + len(lexeme) - 1)
+        return LeafToken(lexeme, kind, span, next(self.leaf_indices))
 
-    def _parse_list(self, parse_item: Callable[[], Child]) -> tuple[list[Child], Token]:
+    def _parse_list(self, parse_item: Callable[[], Child]) -> tuple[list[Child], _Tok]:
         """Comma-separated items up to and including the closing ')'."""
         items: list[Child] = []
         if not self._at(")"):
@@ -304,13 +325,13 @@ class _Parser:
         return AstNode("Param", self._span_from(start), [type_ref, self._leaf(name, "Identifier")])
 
     def _at_type_start(self) -> bool:
-        return self.tokens[self.pos].kind in _TYPE_START
+        return self.tokens[self.pos][0] in _TYPE_START
 
     def parse_type(self) -> AstNode:
         if not self._at_type_start():
             self._fail("type")
-        tok = self._advance()
-        return AstNode("TypeRef", tok.span, [self._leaf(tok, "TypeName")])
+        leaf = self._leaf(self._advance(), "TypeName")
+        return AstNode("TypeRef", leaf.span, [leaf])
 
     def _parse_initializer(self, label: str, start: int, children: list[Child]) -> AstNode:
         """The optional ``= expr`` and the ';' that end a field or variable."""
@@ -333,7 +354,7 @@ class _Parser:
         return AstNode("Block", self._span_from(start), stmts)
 
     def parse_stmt(self) -> Child:
-        kind = self.tokens[self.pos].kind
+        kind = self.tokens[self.pos][0]
         if kind == _END:
             self._fail("statement")
         self._nest()
@@ -355,11 +376,11 @@ class _Parser:
         return stmt
 
     def _at_var_decl_start(self) -> bool:
-        kind = self.tokens[self.pos].kind
+        kind = self.tokens[self.pos][0]
         if kind in BUILTIN_TYPES:
             return True
         # "Name Name" is a declaration; "Name = ..." etc. is an expression.
-        return kind == "Identifier" and self.tokens[self.pos + 1].kind == "Identifier"
+        return kind == "Identifier" and self.tokens[self.pos + 1][0] == "Identifier"
 
     def parse_var_decl(self) -> AstNode:
         start = self.pos
@@ -437,44 +458,48 @@ class _Parser:
         """Precedence climbing: operands joined by operators that bind at
         least as tightly as ``min_precedence``."""
         left = self._parse_operand()
-        while _PRECEDENCE.get((tok := self.tokens[self.pos]).kind, 0) >= min_precedence:
-            self._advance()
-            right = self._parse_binary(_PRECEDENCE[tok.kind] + 1)
-            left = AstNode(f"BinExpr:{tok.kind}", _cover(left.span, right.span), [left, right])
+        while _PRECEDENCE.get(op := self.tokens[self.pos][0], 0) >= min_precedence:
+            self.pos += 1
+            right = self._parse_binary(_PRECEDENCE[op] + 1)
+            left = AstNode(f"BinExpr:{op}", _cover(left.span, right.span), [left, right])
         return left
 
     def _parse_operand(self) -> Child:
         """Prefix '!'/'-', then a primary with its calls, field accesses and indexes."""
-        prefixes: list[Token] = []
-        while self.tokens[self.pos].kind in ("!", "-"):
+        prefixes: list[_Tok] = []
+        while self.tokens[self.pos][0] in ("!", "-"):
             prefixes.append(self._advance())
         expr = self._parse_primary()
         while True:
             if self._accept("("):
                 args, close = self._parse_list(self.parse_expr)
-                expr = AstNode("Call", _cover(expr.span, close.span), [expr, *args])
+                span = _through(expr.span.start_line, expr.span.start_col, close)
+                expr = AstNode("Call", span, [expr, *args])
             elif self._accept("."):
-                name = self._expect("Identifier", "field name")
-                field_leaf = self._leaf(name, "Identifier")
-                expr = AstNode("FieldAccess", _cover(expr.span, name.span), [expr, field_leaf])
+                name = self._leaf(self._expect("Identifier", "field name"), "Identifier")
+                expr = AstNode("FieldAccess", _cover(expr.span, name.span), [expr, name])
             elif self._accept("["):
                 index = self.parse_expr()
                 close = self._expect("]")
-                expr = AstNode("Index", _cover(expr.span, close.span), [expr, index])
+                span = _through(expr.span.start_line, expr.span.start_col, close)
+                expr = AstNode("Index", span, [expr, index])
             else:
                 break
-        for op in reversed(prefixes):
-            expr = AstNode(f"Unary:{op.kind}", _cover(op.span, expr.span), [expr])
+        for kind, _, line, col in reversed(prefixes):
+            span = SourceSpan(line, col, expr.span.end_line, expr.span.end_col)
+            expr = AstNode(f"Unary:{kind}", span, [expr])
         return expr
 
     def _parse_primary(self) -> Child:
         tok = self.tokens[self.pos]
-        if tok.kind == "Identifier":
-            self._advance()
-            return AstNode("Name", tok.span, [self._leaf(tok, "Identifier")])
-        if tok.kind in ("IntLit", "BoolLit", "StrLit"):
-            self._advance()
-            return self._leaf(tok, tok.kind)
+        kind = tok[0]
+        if kind == "Identifier":
+            self.pos += 1
+            leaf = self._leaf(tok, "Identifier")
+            return AstNode("Name", leaf.span, [leaf])
+        if kind in ("IntLit", "BoolLit", "StrLit"):
+            self.pos += 1
+            return self._leaf(tok, kind)
         if self._accept("("):
             inner = self.parse_expr()
             self._expect(")")

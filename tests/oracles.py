@@ -14,18 +14,21 @@ scalar splitmix64 generator once per component, and the table-row oracle is
 ``load_table``'s former per-component ``float()`` loop. The fixation reader
 oracle is ``read_fixations``'s former row loop, which builds one
 ``Fixation`` per row, and the FNV oracle is ``fnv1a64``'s former two
-statements per byte.
+statements per byte. The tokenizer and parser oracles are ``tokenize`` and
+the parser as they were when every token carried its own ``SourceSpan``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from eye2vec.errors import FormatError, ZeroVectorError
+from eye2vec.errors import FormatError, LexError, ParseError, ZeroVectorError
 from eye2vec.gaze import GRID_HEADER, PIXEL_HEADER, Fixation, GridPos, PixelPos, Recording
 from eye2vec.hashing import FNV_OFFSET_BASIS, FNV_PRIME, SplitMix64, fnv1a64
 from eye2vec.linker import (
@@ -36,7 +39,24 @@ from eye2vec.linker import (
     _nearest_leaf,
     _self_transition_context,
 )
-from eye2vec.minilang import AstNode, LeafToken, leaves, parents_and_depths
+from eye2vec.minilang import (
+    BUILTIN_TYPES,
+    MAX_NESTING,
+    _END,
+    _PRECEDENCE,
+    _TOKEN_RE,
+    _TYPE_START,
+    _WORD_KINDS,
+    AstNode,
+    Child,
+    LeafToken,
+    SourceSpan,
+    Token,
+    _cover,
+    _fits_int64,
+    leaves,
+    parents_and_depths,
+)
 from eye2vec.pathctx import PathContext, context_between
 
 UP = "↑"
@@ -56,7 +76,7 @@ def oracle_map_fixation(fixation: Fixation, root: AstNode, snap_tol_cols: int) -
     best_distance = 0
     for leaf in leaves(root):
         span = leaf.span
-        if span.contains(pos.line, pos.col):
+        if span_contains(span, pos.line, pos.col):
             return MappedFixation(fixation, leaf, "hit")
         if span.start_line != pos.line:
             continue
@@ -310,3 +330,334 @@ def oracle_read_fixations(path: str | Path, mode: str) -> Recording:
             position = GridPos(line, col)
         fixations.append(Fixation(timestamp, duration, position))
     return Recording(recording_id=path.stem, fixations=fixations)
+
+
+# The tokenizer and parser as they were when every token carried its own
+# SourceSpan: tokenize() built one Token and one span per lexeme, and the
+# parser read them, sharing token spans with leaves and nodes. The grammar
+# tables (token regex, keywords, precedence) are the library's.
+
+_END_TOKEN = Token(_END, "", SourceSpan(1, 0, 1, 0))
+
+
+def oracle_tokenize(source_text: str) -> list[Token]:
+    """Scan ``source_text`` into tokens; comments and whitespace are skipped
+    but still advance line/column positions."""
+    tokens: list[Token] = []
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for match in _TOKEN_RE.finditer(source_text):
+        group, lexeme, offset = match.lastgroup, match.group(), match.start()
+        col = offset - line_start + 1
+        if group == "skip":
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = offset + lexeme.rindex("\n") + 1
+            continue
+        if group == "word" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            group, lexeme = "bad", lexeme[0]
+        if group == "bad":
+            raise LexError(line, col, f"unrecognized character {lexeme!r}")
+        if group == "unterminated":
+            what = "block comment" if lexeme == "/*" else "string literal"
+            raise LexError(line, col, f"unterminated {what}")
+        if group == "IntLit" and not _fits_int64(lexeme):
+            raise LexError(line, col, f"integer literal out of 64-bit signed range: {lexeme}")
+        if group == "word":
+            kind = _WORD_KINDS.get(lexeme, "Identifier")
+        else:
+            kind = lexeme if group == "op" else group
+        tokens.append(Token(kind, lexeme, SourceSpan(line, col, line, col + len(lexeme) - 1)))
+    return tokens
+
+
+class OracleParser:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = [*tokens, _END_TOKEN]
+        self.pos = 0
+        # Statements and expressions open at the current position.
+        self.depth = 0
+        # Tokens arrive in source order, so leaves are numbered as they are made.
+        self.leaf_indices = itertools.count()
+
+    # token plumbing ---------------------------------------------------
+
+    def _at(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
+
+    def _advance(self) -> Token:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def _accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.tokens[self.pos].kind != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def _expect(self, kind: str, expected: str | None = None) -> Token:
+        if self._at(kind):
+            return self._advance()
+        self._fail(expected or f"'{kind}'")
+
+    def _fail(self, expected: str) -> None:
+        last, tok = self.tokens[self.pos - 1].span, self.tokens[self.pos]
+        found = _END if tok.kind == _END else f"'{tok.lexeme}'"
+        raise ParseError(last.end_line, last.end_col + 1, expected, found)
+
+    def _nest(self) -> None:
+        """Open one more statement or expression; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self._fail(f"at most {MAX_NESTING} nested statements and expressions")
+
+    def _span_from(self, start_index: int) -> SourceSpan:
+        if start_index >= self.pos:  # zero-token construct (empty program)
+            return SourceSpan(1, 1, 1, 1)
+        return _cover(self.tokens[start_index].span, self.tokens[self.pos - 1].span)
+
+    def _leaf(self, tok: Token, kind: str) -> LeafToken:
+        return LeafToken(tok.lexeme, kind, tok.span, next(self.leaf_indices))
+
+    def _parse_list(self, parse_item: Callable[[], Child]) -> tuple[list[Child], Token]:
+        """Comma-separated items up to and including the closing ')'."""
+        items: list[Child] = []
+        if not self._at(")"):
+            items.append(parse_item())
+            while self._accept(","):
+                items.append(parse_item())
+        return items, self._expect(")", "',' or ')'")
+
+    # declarations -----------------------------------------------------
+
+    def parse_program(self) -> AstNode:
+        start = self.pos
+        classes: list[Child] = []
+        while not self._at(_END):
+            classes.append(self.parse_class())
+        return AstNode("Program", self._span_from(start), classes)
+
+    def parse_class(self) -> AstNode:
+        start = self.pos
+        self._expect("class", "'class'")
+        name = self._expect("Identifier", "class name")
+        self._expect("{")
+        members: list[Child] = [self._leaf(name, "Identifier")]
+        while not self._at("}"):
+            if self._at(_END):
+                self._fail("member declaration or '}'")
+            members.append(self.parse_member())
+        self._expect("}")
+        return AstNode("ClassDecl", self._span_from(start), members)
+
+    def parse_member(self) -> AstNode:
+        start = self.pos
+        type_ref = self.parse_type()
+        name_leaf = self._leaf(self._expect("Identifier", "member name"), "Identifier")
+        if not self._accept("("):
+            return self._parse_initializer("FieldDecl", start, [type_ref, name_leaf])
+        if not (self._at(")") or self._at_type_start()):
+            self._fail("parameter type or ')'")
+        params, _ = self._parse_list(self.parse_param)
+        body = self.parse_block()
+        return AstNode("MethodDecl", self._span_from(start), [type_ref, name_leaf, *params, body])
+
+    def parse_param(self) -> AstNode:
+        start = self.pos
+        type_ref = self.parse_type()
+        name = self._expect("Identifier", "parameter name")
+        return AstNode("Param", self._span_from(start), [type_ref, self._leaf(name, "Identifier")])
+
+    def _at_type_start(self) -> bool:
+        return self.tokens[self.pos].kind in _TYPE_START
+
+    def parse_type(self) -> AstNode:
+        if not self._at_type_start():
+            self._fail("type")
+        tok = self._advance()
+        return AstNode("TypeRef", tok.span, [self._leaf(tok, "TypeName")])
+
+    def _parse_initializer(self, label: str, start: int, children: list[Child]) -> AstNode:
+        """The optional ``= expr`` and the ';' that end a field or variable."""
+        if self._accept("="):
+            children.append(self.parse_expr())
+        self._expect(";")
+        return AstNode(label, self._span_from(start), children)
+
+    # statements -------------------------------------------------------
+
+    def parse_block(self) -> AstNode:
+        start = self.pos
+        self._expect("{")
+        stmts: list[Child] = []
+        while not self._at("}"):
+            if self._at(_END):
+                self._fail("statement or '}'")
+            stmts.append(self.parse_stmt())
+        self._expect("}")
+        return AstNode("Block", self._span_from(start), stmts)
+
+    def parse_stmt(self) -> Child:
+        kind = self.tokens[self.pos].kind
+        if kind == _END:
+            self._fail("statement")
+        self._nest()
+        if kind == "{":
+            stmt = self.parse_block()
+        elif kind == "if":
+            stmt = self.parse_if()
+        elif kind == "while":
+            stmt = self.parse_while()
+        elif kind == "for":
+            stmt = self.parse_for()
+        elif kind == "return":
+            stmt = self.parse_return()
+        elif self._at_var_decl_start():
+            stmt = self.parse_var_decl()
+        else:
+            stmt = self.parse_expr_stmt()
+        self.depth -= 1
+        return stmt
+
+    def _at_var_decl_start(self) -> bool:
+        kind = self.tokens[self.pos].kind
+        if kind in BUILTIN_TYPES:
+            return True
+        # "Name Name" is a declaration; "Name = ..." etc. is an expression.
+        return kind == "Identifier" and self.tokens[self.pos + 1].kind == "Identifier"
+
+    def parse_var_decl(self) -> AstNode:
+        start = self.pos
+        type_ref = self.parse_type()
+        name = self._expect("Identifier", "variable name")
+        return self._parse_initializer("VarDecl", start, [type_ref, self._leaf(name, "Identifier")])
+
+    def _parse_condition(self, keyword: str) -> Child:
+        """``keyword ( expr )``, the head of an if or a while."""
+        self._expect(keyword)
+        self._expect("(")
+        cond = self.parse_expr()
+        self._expect(")")
+        return cond
+
+    def parse_if(self) -> AstNode:
+        start = self.pos
+        children: list[Child] = [self._parse_condition("if"), self.parse_stmt()]
+        if self._accept("else"):
+            children.append(self.parse_stmt())
+        return AstNode("If", self._span_from(start), children)
+
+    def parse_while(self) -> AstNode:
+        start = self.pos
+        children: list[Child] = [self._parse_condition("while"), self.parse_stmt()]
+        return AstNode("While", self._span_from(start), children)
+
+    def parse_for(self) -> AstNode:
+        start = self.pos
+        self._expect("for")
+        self._expect("(")
+        children: list[Child] = []
+        if not self._accept(";"):
+            init = self.parse_var_decl() if self._at_var_decl_start() else self.parse_expr_stmt()
+            children.append(init)
+        if not self._at(";"):
+            children.append(self.parse_expr())
+        self._expect(";")
+        if not self._at(")"):
+            children.append(self.parse_expr())
+        self._expect(")")
+        children.append(self.parse_stmt())
+        return AstNode("For", self._span_from(start), children)
+
+    def parse_return(self) -> AstNode:
+        start = self.pos
+        self._expect("return")
+        children: list[Child] = []
+        if not self._at(";"):
+            children.append(self.parse_expr())
+        self._expect(";")
+        return AstNode("Return", self._span_from(start), children)
+
+    def parse_expr_stmt(self) -> AstNode:
+        start = self.pos
+        expr = self.parse_expr()
+        self._expect(";")
+        return AstNode("ExprStmt", self._span_from(start), [expr])
+
+    # expressions ------------------------------------------------------
+
+    def parse_expr(self) -> Child:
+        self._nest()
+        expr = self._parse_binary(1)
+        if self._at("="):
+            if not (isinstance(expr, AstNode) and expr.label in ("Name", "FieldAccess", "Index")):
+                self._fail("assignable expression (name, field access, or index) before '='")
+            self._advance()
+            value = self.parse_expr()
+            expr = AstNode("Assign", _cover(expr.span, value.span), [expr, value])
+        self.depth -= 1
+        return expr
+
+    def _parse_binary(self, min_precedence: int) -> Child:
+        """Precedence climbing: operands joined by operators that bind at
+        least as tightly as ``min_precedence``."""
+        left = self._parse_operand()
+        while _PRECEDENCE.get((tok := self.tokens[self.pos]).kind, 0) >= min_precedence:
+            self._advance()
+            right = self._parse_binary(_PRECEDENCE[tok.kind] + 1)
+            left = AstNode(f"BinExpr:{tok.kind}", _cover(left.span, right.span), [left, right])
+        return left
+
+    def _parse_operand(self) -> Child:
+        """Prefix '!'/'-', then a primary with its calls, field accesses and indexes."""
+        prefixes: list[Token] = []
+        while self.tokens[self.pos].kind in ("!", "-"):
+            prefixes.append(self._advance())
+        expr = self._parse_primary()
+        while True:
+            if self._accept("("):
+                args, close = self._parse_list(self.parse_expr)
+                expr = AstNode("Call", _cover(expr.span, close.span), [expr, *args])
+            elif self._accept("."):
+                name = self._expect("Identifier", "field name")
+                field_leaf = self._leaf(name, "Identifier")
+                expr = AstNode("FieldAccess", _cover(expr.span, name.span), [expr, field_leaf])
+            elif self._accept("["):
+                index = self.parse_expr()
+                close = self._expect("]")
+                expr = AstNode("Index", _cover(expr.span, close.span), [expr, index])
+            else:
+                break
+        for op in reversed(prefixes):
+            expr = AstNode(f"Unary:{op.kind}", _cover(op.span, expr.span), [expr])
+        return expr
+
+    def _parse_primary(self) -> Child:
+        tok = self.tokens[self.pos]
+        if tok.kind == "Identifier":
+            self._advance()
+            return AstNode("Name", tok.span, [self._leaf(tok, "Identifier")])
+        if tok.kind in ("IntLit", "BoolLit", "StrLit"):
+            self._advance()
+            return self._leaf(tok, tok.kind)
+        if self._accept("("):
+            inner = self.parse_expr()
+            self._expect(")")
+            return inner
+        self._fail("expression")
+
+
+def oracle_parse(source_text: str) -> AstNode:
+    """``parse`` by way of ``oracle_tokenize`` and ``OracleParser``."""
+    return OracleParser(oracle_tokenize(source_text)).parse_program()
+
+
+def span_contains(span: SourceSpan, line: int, col: int) -> bool:
+    """Whether the position ``line``:``col`` lies inside ``span``."""
+    if line < span.start_line or line > span.end_line:
+        return False
+    if line == span.start_line and col < span.start_col:
+        return False
+    if line == span.end_line and col > span.end_col:
+        return False
+    return True

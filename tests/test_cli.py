@@ -8,7 +8,7 @@ import pytest
 from eye2vec.cli import main
 from eye2vec.compressor import EyeVector, compress
 from eye2vec.data import sample_path, sample_source
-from eye2vec.embeddings import EmbeddingTable
+from eye2vec.embeddings import MAX_DIM, EmbeddingTable
 from eye2vec.gaze import read_fixations
 from eye2vec.linker import LinkOptions, build_profile
 from eye2vec.minilang import parse
@@ -265,6 +265,23 @@ class TestVectorize:
         assert main([
             "vectorize", str(src_file), str(fixations), "--emb", str(emb), "--dim", "8",
         ]) == 2
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**15])
+    def test_dim_above_the_limit_is_usage_error(self, src_file, sim_dir, capsys, dim):
+        fixations = sim_dir / "prog_linear_0.csv"
+        assert main(["vectorize", str(src_file), str(fixations), "--dim", str(dim)]) == 2
+        err = capsys.readouterr().err
+        assert f"expected an integer <= {MAX_DIM}, got {dim}" in err
+        assert "Traceback" not in err
+
+    def test_table_dim_above_the_limit_exits_1_with_one_line(self, src_file, sim_dir, tmp_path,
+                                                             capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text(f"eye2vec-embeddings v1 dim={10**15}\n", encoding="utf-8")
+        fixations = sim_dir / "prog_linear_0.csv"
+        assert main(["vectorize", str(src_file), str(fixations), "--emb", str(emb)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: row 1: dimension must be at most {MAX_DIM}\n"
 
 
 class TestCompareClusterPredict:

@@ -6,6 +6,7 @@ from oracles import oracle_fallback_vector, oracle_table_row
 
 from eye2vec.embeddings import (
     DEFAULT_DIM,
+    MAX_DIM,
     EmbeddingTable,
     context_vector,
     fallback_vector,
@@ -75,6 +76,20 @@ class TestLoadTable:
             load_table(write_table(tmp_path, "eye2vec-embeddings v1 dim=zero\n"))
         with pytest.raises(FormatError):
             load_table(write_table(tmp_path, "eye2vec-embeddings v1 dim=0\n", "z.tsv"))
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**15])
+    def test_dimension_above_the_limit(self, tmp_path, dim):
+        # refused at the header, before any row is read or vector allocated
+        path = write_table(tmp_path, f"eye2vec-embeddings v1 dim={dim}\ntok:a\t1\n")
+        with pytest.raises(FormatError) as exc:
+            load_table(path)
+        assert (exc.value.row, exc.value.message) == (1, f"dimension must be at most {MAX_DIM}")
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**15])
+def test_table_dim_above_the_limit(dim):
+    with pytest.raises(ValueError, match=f"dim must be at most {MAX_DIM}"):
+        EmbeddingTable(dim=dim)
 
 
 # Strings that float() reads in some unusual way, or just fails to read.

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eye2vec.data import sample_source
-from eye2vec.errors import LexError, ParseError
+from eye2vec.errors import Eye2vecError, LexError, ParseError
 from eye2vec.minilang import (
     MAX_NESTING,
     AstNode,
@@ -20,7 +20,7 @@ from eye2vec.minilang import (
     pretty_print,
     tokenize,
 )
-from oracles import oracle_parents
+from oracles import oracle_parents, oracle_parse, oracle_tokenize, span_contains
 from progen import generate_program
 
 
@@ -122,6 +122,14 @@ class TestTokenize:
     def test_tabs_count_one_column(self):
         tokens = tokenize("\ta")
         assert span_tuple(tokens[0].span) == (1, 2, 1, 2)
+
+    def test_tokens_and_spans_are_immutable_values(self):
+        token = tokenize("  ab")[0]
+        assert token == ("Identifier", "ab", SourceSpan(1, 3, 1, 4))
+        assert hash(token.span) == hash(SourceSpan(1, 3, 1, 4))
+        assert len({token, tokenize("  ab")[0]}) == 1
+        with pytest.raises(AttributeError):
+            token.span.end_col = 5
 
 
 class TestParse:
@@ -349,8 +357,8 @@ def _assert_span_soundness(source, root):
 
 def _assert_parent_containment(node):
     for child in node.children:
-        assert node.span.contains(child.span.start_line, child.span.start_col)
-        assert node.span.contains(child.span.end_line, child.span.end_col)
+        assert span_contains(node.span, child.span.start_line, child.span.start_col)
+        assert span_contains(node.span, child.span.end_line, child.span.end_col)
         if isinstance(child, AstNode):
             _assert_parent_containment(child)
 
@@ -403,9 +411,114 @@ def test_span_soundness_on_samples(sample_roots):
 
 def test_source_span_contains():
     span = SourceSpan(2, 5, 2, 9)
-    assert span.contains(2, 5) and span.contains(2, 9)
-    assert not span.contains(2, 4) and not span.contains(2, 10)
-    assert not span.contains(1, 7) and not span.contains(3, 7)
+    assert span_contains(span, 2, 5) and span_contains(span, 2, 9)
+    assert not span_contains(span, 2, 4) and not span_contains(span, 2, 10)
+    assert not span_contains(span, 1, 7) and not span_contains(span, 3, 7)
     multi = SourceSpan(1, 10, 3, 2)
-    assert multi.contains(2, 1) and multi.contains(1, 10) and multi.contains(3, 2)
-    assert not multi.contains(1, 9) and not multi.contains(3, 3)
+    assert span_contains(multi, 2, 1) and span_contains(multi, 1, 10)
+    assert span_contains(multi, 3, 2)
+    assert not span_contains(multi, 1, 9) and not span_contains(multi, 3, 3)
+
+
+# differential tests against the former tokenizer and parser ---------------
+
+
+def _token_offsets(source):
+    """The [start, end) text offsets of each token of ``source``."""
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    offsets = []
+    for token in oracle_tokenize(source):
+        start = line_starts[token.span.start_line - 1] + token.span.start_col - 1
+        offsets.append((start, start + len(token.lexeme)))
+    return offsets
+
+
+@st.composite
+def _mutated_programs(draw):
+    """A generated program as it is, truncated, or with one token deleted or
+    duplicated."""
+    source = generate_program(draw(st.integers(0, 10**9)), draw(st.integers(1, 60)))
+    how = draw(st.sampled_from(["as is", "truncated", "deleted", "duplicated"]))
+    if how == "truncated":
+        return source[: draw(st.integers(0, len(source)))]
+    if how == "as is":
+        return source
+    start, end = draw(st.sampled_from(_token_offsets(source)))
+    if how == "deleted":
+        return source[:start] + source[end:]
+    return source[:end] + " " + source[start:end] + source[end:]
+
+
+# Fragments of the language and characters it rejects, so that drawn text
+# reaches every lexer error.
+_FRAGMENTS = st.lists(
+    st.sampled_from([
+        "class", "A", "x", "int", "void", "if", "else", "for", "while", "return", "true",
+        "0", "12", "٣", "²", "9223372036854775808", '"s"', '"', "/*", "*/", "//", "\\",
+        "{", "}", "(", ")", "[", "]", ";", ",", ".", "=", "==", "&", "|", "&&", "+", "-",
+        "!", "*", " ", "\n", "\t", "$",
+    ]),
+    max_size=40,
+).map("".join)
+
+
+def _outcome(function, source):
+    try:
+        return function(source), None
+    except Eye2vecError as exc:
+        return None, exc
+
+
+def _assert_same_error(error, expected):
+    assert type(error) is type(expected)
+    assert (error.line, error.col, str(error)) == (expected.line, expected.col, str(expected))
+
+
+def _assert_same_tree(root, expected):
+    assert ast_equal(root, expected)
+    pairs = [(root, expected)]
+    while pairs:
+        item, want = pairs.pop()
+        assert item.span == want.span
+        if isinstance(item, LeafToken):
+            assert item.leaf_index == want.leaf_index
+        else:
+            pairs += zip(item.children, want.children)
+
+
+def _check_tokenize(source):
+    tokens, error = _outcome(tokenize, source)
+    expected, expected_error = _outcome(oracle_tokenize, source)
+    if expected_error is None:
+        assert error is None and tokens == expected
+    else:
+        _assert_same_error(error, expected_error)
+
+
+def _check_parse(source):
+    root, error = _outcome(parse, source)
+    expected, expected_error = _outcome(oracle_parse, source)
+    if expected_error is None:
+        assert error is None
+        _assert_same_tree(root, expected)
+    else:
+        _assert_same_error(error, expected_error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(source=st.one_of(_mutated_programs(), _FRAGMENTS))
+def test_tokenize_and_parse_match_oracle(source):
+    _check_tokenize(source)
+    _check_parse(source)
+
+
+@pytest.mark.parametrize("source", [
+    "", "}", "class", "class A {", "class A { int f( }", '"open', "x /* y", "a & b",
+    _method("{" * (MAX_NESTING + 1) + "}" * (MAX_NESTING + 1)),
+    _method(f"return {_deepest_expression(MAX_NESTING)};"),
+    _method("return " + "-" * 500 + "f(a)[b].c;"),
+    sample_source("lookup"),
+])
+def test_edge_cases_match_oracle(source):
+    _check_tokenize(source)
+    _check_parse(source)
