@@ -101,8 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_simulate)
     p.add_argument("src")
     p.add_argument("--strategy", choices=simulator.STRATEGY_NAMES, required=True)
-    p.add_argument("--n", type=_int_at_least(2), required=True, help="fixations per recording")
-    p.add_argument("--count", type=_int_at_least(1), required=True, help="number of recordings")
+    p.add_argument("--n", type=_int_at_least(2, simulator.MAX_FIXATIONS), required=True,
+                   help=f"fixations per recording, at most {simulator.MAX_FIXATIONS}")
+    p.add_argument("--count", type=_int_at_least(1, simulator.MAX_RECORDINGS), required=True,
+                   help=f"number of recordings, at most {simulator.MAX_RECORDINGS}")
     p.add_argument("--seed", type=int, required=True,
                    help="seed of the first recording; recording i uses seed+i")
     p.add_argument("--jitter", type=_int_at_least(0), default=0, help="column jitter radius")

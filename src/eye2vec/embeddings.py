@@ -8,7 +8,9 @@ pretrained export. Keys are namespaced ``tok:<text>`` and
 A fallback vector's splitmix64 stream is generated as one ``np.uint64``
 array, and each table computes it once per absent key: ``lookup`` keeps it
 in the table's private memo, keyed by the key, ``dim`` and ``fallback_seed``
-in force, so changing either field on a table gives the new vectors. The
+in force, so changing either field on a table gives the new vectors; a
+``dim`` outside 1 to ``MAX_DIM`` raises ``ValueError`` where vectors of
+that size would be allocated, in ``fallback_vector`` and ``compress``. The
 memo costs one ``dim``-float vector per distinct absent key for the table's
 lifetime; it never enters ``entries``.
 """
@@ -33,6 +35,18 @@ DEFAULT_SEED = 42
 MAX_DIM = 65536
 
 
+def check_dim(dim: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= dim <= MAX_DIM``.
+
+    Checked where a table is made and again where vectors of that size are
+    allocated, since ``EmbeddingTable.dim`` may be reassigned in between.
+    """
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    if dim > MAX_DIM:
+        raise ValueError(f"dim must be at most {MAX_DIM}")
+
+
 @dataclass
 class EmbeddingTable:
     dim: int
@@ -43,10 +57,7 @@ class EmbeddingTable:
     )
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.dim > MAX_DIM:
-            raise ValueError(f"dim must be at most {MAX_DIM}")
+        check_dim(self.dim)
         self.fallback_seed &= 0xFFFFFFFFFFFFFFFF
         for key, vec in self.entries.items():
             arr = np.asarray(vec, dtype=np.float64)
@@ -96,6 +107,7 @@ def load_table(path: str | Path) -> EmbeddingTable:
 
 def fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray:
     """Deterministic unit vector for a key absent from the table."""
+    check_dim(dim)
     # The float operations of 2.0 * SplitMix64.next_float01() - 1.0, in the
     # same order, so every component has the same bits.
     top53 = splitmix64_block(fnv1a64(key) ^ fallback_seed, dim) >> np.uint64(11)

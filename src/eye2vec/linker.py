@@ -5,10 +5,18 @@ transition. Transitions are counted per (leaf, leaf) pair, and each distinct
 pair's path context is built and hashed once per call; the per-context
 counts are normalized to ratios so recordings of different lengths stay
 comparable.
+
+What the linker needs of a tree (each line's leaves, every node's parent
+and depth) is computed on the first call over that tree and kept for the
+last ``_TREE_CACHE_SIZE`` distinct trees, keyed by the tree itself (trees
+hash by identity). Trees from ``parse`` are memoized and shared, so
+a request over a program seen before walks no tree at all. A tree must not
+be mutated once it has been linked.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -16,7 +24,7 @@ from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
-from .minilang import AstNode, Child, LeafToken, leaves, parents_and_depths
+from .minilang import _TREE_CACHE_SIZE, AstNode, Child, LeafToken, leaves, parents_and_depths
 from .pathctx import PathContext, context_between, make_context
 
 DEFAULT_SNAP_TOL_COLS = 3
@@ -135,7 +143,7 @@ def map_fixation(
     pos = fixation.position
     if not isinstance(pos, GridPos):
         raise TypeError(_NOT_GRID)
-    leaf, distance = _nearest_leaf(pos.line, pos.col, _line_index(root), snap_tol_cols)
+    leaf, distance = _nearest_leaf(pos.line, pos.col, _tree_facts(root)[0], snap_tol_cols)
     if leaf is None:
         return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
     if distance == 0:
@@ -159,6 +167,18 @@ def _line_index(root: AstNode) -> _LineIndex:
         cols.append(leaf.span.start_col)
         row.append(leaf)
     return index
+
+
+@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
+def _tree_facts(
+    root: AstNode,
+) -> tuple[_LineIndex, dict[Child, AstNode], dict[AstNode, int]]:
+    """``_line_index`` and ``parents_and_depths`` of ``root``, once per tree.
+
+    The cache holds the tree, so its identity is not reused while the entry
+    lives; callers only read what it returns.
+    """
+    return (_line_index(root), *parents_and_depths(root))
 
 
 def _nearest_leaf(
@@ -215,8 +235,7 @@ def build_profile(
     if recording.mode != "grid" and (recording.columns is None or recording.columns[0]):
         raise TypeError(_NOT_GRID)
     _, lines, cols, _ = recording.columns
-    index = _line_index(root)
-    parents, depths = parents_and_depths(root)
+    index, parents, depths = _tree_facts(root)
     keep_self = options.self_transitions == "keep"
     # leaves hash by identity, so a pair key never compares leaf text
     pairs: dict[tuple[LeafToken, LeafToken], int] = {}

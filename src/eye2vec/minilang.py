@@ -21,14 +21,23 @@ so each block, branch or loop body, parenthesis, call argument, index and
 assignment right-hand side adds one. Deeper input raises ``ParseError``
 instead of exhausting the interpreter's stack.
 
-Parsing is a pure function; the returned tree is never mutated afterwards
-and is safe to share across threads. Trees hold no parent links, so no tree
-is a reference cycle; callers take parents and depths from one
-``parents_and_depths`` walk per call.
+Parsing is a pure function, memoized on the exact source text: ``parse``
+keeps the trees of the last ``_TREE_CACHE_SIZE`` distinct texts, so a
+program read again is not scanned again, and equal texts get the very same
+tree. Trees are therefore shared between callers: nothing in the package
+mutates one, callers must not either, and a tree is safe to share across
+threads. ``parse.cache_info()`` reports hits and misses, and
+``parse.cache_clear()`` drops the kept trees. A ``LexError`` or
+``ParseError`` is not cached, so bad input raises on every call.
+
+Trees hold no parent links, so no tree is a reference cycle; parents and
+depths come from one ``parents_and_depths`` walk, which the linker keeps
+per tree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections.abc import Iterable, Iterator
@@ -66,6 +75,11 @@ MAX_NESTING = 64
 
 INT64_MAX = 2**63 - 1
 
+# How many trees ``parse`` keeps, and how many trees' facts the linker keeps.
+# Twice the eight programs of a perfbench run: an LRU cache read in turn over
+# one more program than it holds misses on every call.
+_TREE_CACHE_SIZE = 16
+
 # One alternative per token class, tried in order. ``\d`` matches what
 # str.isdecimal accepts and ``\w`` what str.isalnum accepts, plus "_"; a word
 # must in addition start with a letter or "_". A backslash in a string
@@ -82,7 +96,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Inclusive 1-based character span in the original text."""
 
@@ -188,8 +202,13 @@ def _fits_int64(digits: str) -> bool:
         return False
 
 
+@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
 def parse(source_text: str) -> AstNode:
-    """Parse ``source_text`` into a Program tree with spans on every node."""
+    """Parse ``source_text`` into a Program tree with spans on every node.
+
+    Memoized on the text: a text parsed before gives back the same,
+    shared tree, which must not be mutated.
+    """
     return _Parser(_scan(source_text)).parse_program()
 
 

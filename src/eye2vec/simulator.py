@@ -19,6 +19,12 @@ STRATEGY_NAMES = ("linear", "defuse")
 FIXATION_STEP_MS = 250
 FIXATION_DURATION_MS = 200
 
+# The most fixations one simulated recording holds (about seven hours of
+# reading at one fixation per 250 ms), and the most recordings one
+# ``eye2vec simulate`` writes; both are refused before anything is made.
+MAX_FIXATIONS = 100_000
+MAX_RECORDINGS = 1_000
+
 _DECL_LABELS = frozenset({"VarDecl", "Param", "FieldDecl"})
 
 
@@ -75,6 +81,8 @@ def simulate(
     """
     if n_fixations < 2:
         raise ValueError("n_fixations must be >= 2")
+    if n_fixations > MAX_FIXATIONS:
+        raise ValueError(f"n_fixations must be at most {MAX_FIXATIONS}")
     leaf_list = leaves(root)
     if len(leaf_list) < 2:
         raise ValueError("program must have at least 2 leaves")

@@ -12,6 +12,7 @@ from eye2vec.embeddings import MAX_DIM, EmbeddingTable
 from eye2vec.gaze import read_fixations
 from eye2vec.linker import LinkOptions, build_profile
 from eye2vec.minilang import parse
+from eye2vec.simulator import MAX_FIXATIONS, MAX_RECORDINGS
 
 
 @pytest.fixture()
@@ -397,6 +398,25 @@ class TestSimulate:
 
     def test_missing_required_flag_exits_2(self, src_file, tmp_path):
         assert main(["simulate", str(src_file), "--strategy", "linear"]) == 2
+
+    @pytest.mark.parametrize("flag,value,limit", [
+        ("--n", MAX_FIXATIONS + 1, MAX_FIXATIONS),
+        ("--n", 10**15, MAX_FIXATIONS),
+        ("--count", MAX_RECORDINGS + 1, MAX_RECORDINGS),
+        ("--count", 10**15, MAX_RECORDINGS),
+    ])
+    def test_size_above_the_limit_is_usage_error(self, src_file, tmp_path, capsys, flag, value,
+                                                 limit):
+        sizes = {"--n": "10", "--count": "1", flag: str(value)}
+        out = tmp_path / "generated"
+        assert main([
+            "simulate", str(src_file), "--strategy", "linear", "--seed", "0", "--out", str(out),
+            *(arg for pair in sizes.items() for arg in pair),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"expected an integer <= {limit}, got {value}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestDeterminism:

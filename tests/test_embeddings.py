@@ -92,6 +92,16 @@ def test_table_dim_above_the_limit(dim):
         EmbeddingTable(dim=dim)
 
 
+def test_dim_reassigned_above_the_limit_is_refused_before_allocating():
+    # refused in fallback_vector, before a 10**15-component stream is asked for
+    table = EmbeddingTable(dim=8)
+    table.dim = 10**15
+    with pytest.raises(ValueError, match=f"dim must be at most {MAX_DIM}"):
+        lookup(table, "tok:a")
+    with pytest.raises(ValueError, match=f"dim must be at most {MAX_DIM}"):
+        fallback_vector("tok:a", 10**15, 0)
+
+
 # Strings that float() reads in some unusual way, or just fails to read.
 _COMPONENT_EDGES = [
     "1_0", "1__0", "_1", "1_", "inf", "-Infinity", "nan", "-nan", "NaN", "1e400", "-1e400",

@@ -22,16 +22,18 @@ from eye2vec.gaze import (
 from eye2vec.linker import (
     LinkOptions,
     TransitionProfile,
+    _tree_facts,
     build_profile,
     map_fixation,
 )
-from eye2vec.minilang import leaves, parse
+from eye2vec.minilang import _TREE_CACHE_SIZE, leaves, parse
 from eye2vec.pathctx import path_between
 from eye2vec.simulator import Strategy, simulate
 from oracles import (
     oracle_build_profile_per_transition,
     oracle_map_fixation,
     oracle_parents,
+    oracle_parse,
     oracle_transition_counts,
 )
 from progen import generate_program
@@ -421,3 +423,49 @@ class TestAgainstOracle:
         assert path_between(root, a2, b2) == assign
         assert profile.entries[assign].count == 3
         assert path_between(root, a3, b3) in profile.entries
+
+
+class TestMemoizedTrees:
+    """The linker over trees shared through ``parse``'s cache, with their
+    facts read back from its own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        source=_sources(),
+        data=st.data(),
+        tol=st.integers(0, 6),
+        chain=st.sampled_from(["skip", "strict"]),
+        self_transitions=st.sampled_from(["keep", "drop"]),
+    )
+    def test_build_profile_matches_oracle_over_oracle_tree(
+        self, source, data, tol, chain, self_transitions
+    ):
+        root = parse(source)
+        recording = _revisiting_recording(data, source, root)
+        options = LinkOptions(snap_tol_cols=tol, self_transitions=self_transitions, chain=chain)
+        want = oracle_build_profile_per_transition(recording, oracle_parse(source), options)
+        # the second call reads the tree and its facts back from the caches
+        for _ in range(2):
+            assert parse(source) is root
+            assert build_profile(recording, parse(source), options).to_json() == want.to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=_sources(), data=st.data())
+    def test_map_fixation_on_a_linked_tree_matches_linear_scan(self, source, data):
+        root = parse(source)
+        recording = _recording(data, source, root)
+        build_profile(recording, root)
+        tol = data.draw(st.integers(0, 8), label="tol")
+        for fixation in recording.fixations:
+            got = map_fixation(fixation, parse(source), tol)
+            want = oracle_map_fixation(fixation, root, tol)
+            assert (got.leaf, got.mapping, got.snap_distance_cols, got.drop_reason) == (
+                want.leaf, want.mapping, want.snap_distance_cols, want.drop_reason
+            )
+
+    def test_tree_facts_cache_stays_bounded(self):
+        fixation = Fixation(0, 200, GridPos(1, 1))
+        for i in range(_TREE_CACHE_SIZE + 5):
+            map_fixation(fixation, parse(f"class L{i} {{ }}"))
+        info = _tree_facts.cache_info()
+        assert info.currsize == info.maxsize == _TREE_CACHE_SIZE

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from eye2vec.data import sample_source
 from eye2vec.errors import Eye2vecError, LexError, ParseError
+from eye2vec.cli import main
+from eye2vec.linker import _tree_facts, build_profile
 from eye2vec.minilang import (
+    _TREE_CACHE_SIZE,
     MAX_NESTING,
     AstNode,
     LeafToken,
@@ -20,6 +23,7 @@ from eye2vec.minilang import (
     pretty_print,
     tokenize,
 )
+from eye2vec.simulator import Strategy, simulate
 from oracles import oracle_parents, oracle_parse, oracle_tokenize, span_contains
 from progen import generate_program
 
@@ -245,8 +249,15 @@ class TestParentsAndDepths:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
+            # parse and the linker keep trees; a tree of their own, dropped
+            # from both caches, must then go with its last reference
+            parse.cache_clear()
             root = parse(sample_source("accumulator"))
+            recording = simulate(root, Strategy("linear"), 20)
+            build_profile(recording, root)
             refs = [weakref.ref(root), weakref.ref(leaves(root)[0])]
+            parse.cache_clear()
+            _tree_facts.cache_clear()
             del root
             assert [ref() for ref in refs] == [None, None]
         finally:
@@ -522,3 +533,52 @@ def test_tokenize_and_parse_match_oracle(source):
 def test_edge_cases_match_oracle(source):
     _check_tokenize(source)
     _check_parse(source)
+
+
+# memoization ---------------------------------------------------------------
+
+
+class TestMemoizedParse:
+    def test_same_text_gives_the_same_tree(self):
+        source = sample_source("lookup")
+        assert parse(source) is parse(source)
+        assert parse(source) is not parse(source + " ")
+
+    def test_hits_and_misses_are_reported(self):
+        parse.cache_clear()
+        source = sample_source("point")
+        for _ in range(3):
+            parse(source)
+        info = parse.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+    def test_errors_are_not_cached(self):
+        parse.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                parse("class A {")
+            with pytest.raises(LexError):
+                parse('"open')
+        info = parse.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+    def test_cache_stays_bounded(self):
+        for i in range(_TREE_CACHE_SIZE + 5):
+            parse(f"class C{i} {{ }}")
+        info = parse.cache_info()
+        assert info.currsize == info.maxsize == _TREE_CACHE_SIZE
+
+    def test_vectorize_leaves_the_shared_tree_as_parsed(self, tmp_path, capsys):
+        source = sample_source("accumulator")
+        root = parse(source)
+        src = tmp_path / "prog.mj"
+        src.write_text(source, encoding="utf-8")
+        sims = tmp_path / "sims"
+        assert main(["simulate", str(src), "--strategy", "defuse", "--n", "40", "--count", "1",
+                     "--seed", "3", "--jitter", "2", "--out", str(sims)]) == 0
+        csv = str(sims / "prog_defuse_0.csv")
+        assert main(["vectorize", str(src), csv, "--keep-self"]) == 0
+        assert main(["link", str(src), csv, "--strict-chain"]) == 0
+        assert main(["paths", str(src), "--max-width", "0"]) == 0
+        assert parse(source) is root
+        _assert_same_tree(root, oracle_parse(source))

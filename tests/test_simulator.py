@@ -4,7 +4,7 @@ from eye2vec.errors import NoIdentifiers
 from eye2vec.gaze import write_fixations
 from eye2vec.linker import LinkOptions, build_profile, map_fixation
 from eye2vec.minilang import leaves, parse
-from eye2vec.simulator import Strategy, simulate
+from eye2vec.simulator import MAX_FIXATIONS, Strategy, simulate
 
 
 class TestLinear:
@@ -111,6 +111,11 @@ class TestValidation:
     def test_needs_two_fixations(self, accumulator_root):
         with pytest.raises(ValueError):
             simulate(accumulator_root, Strategy("linear", 0, 0), 1)
+
+    @pytest.mark.parametrize("n", [MAX_FIXATIONS + 1, 10**15])
+    def test_fixations_above_the_limit(self, accumulator_root, n):
+        with pytest.raises(ValueError, match=f"at most {MAX_FIXATIONS}"):
+            simulate(accumulator_root, Strategy("linear", 0, 0), n)
 
     def test_needs_two_leaves(self):
         with pytest.raises(ValueError):
