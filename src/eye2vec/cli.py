@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import analysis, gaze, linker, simulator
@@ -18,7 +19,14 @@ from .compressor import EyeVector, compress, read_eye_vector
 from .embeddings import DEFAULT_DIM, DEFAULT_SEED, MAX_DIM, EmbeddingTable, load_table
 from .errors import Eye2vecError, FormatError
 from .minilang import parse
-from .pathctx import DEFAULT_MAX_LENGTH, DEFAULT_MAX_WIDTH, all_path_contexts
+from .pathctx import DEFAULT_MAX_LENGTH, DEFAULT_MAX_WIDTH, _iter_path_contexts
+
+# Every character str.splitlines() breaks at, escaped as repr() writes it: a
+# message may quote input, such as a string literal holding "\u2028", and a
+# diagnostic must stay on one line.
+_ESCAPE_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+)
 
 
 def _int_at_least(minimum: int, maximum: int | None = None):
@@ -123,10 +131,16 @@ def _add_link_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
+    _emit_lines((text,), out)
+
+
+def _emit_lines(lines: Iterable[str], out: str | None) -> None:
+    """Write each string as the iterable makes it, so the whole text is never held."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as stream:
+            stream.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _link_options(args: argparse.Namespace) -> linker.LinkOptions:
@@ -155,8 +169,9 @@ def _embedding_table(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 def _cmd_paths(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     root = parse(Path(args.src).read_text(encoding="utf-8"))
-    contexts = all_path_contexts(root, max_length=args.max_length, max_width=args.max_width)
-    _emit("".join(c.context_string + "\n" for c in contexts), args.out)
+    # argparse has checked the caps; a context is written as soon as it is made
+    contexts = _iter_path_contexts(root, args.max_length, args.max_width)
+    _emit_lines((c.context_string + "\n" for c in contexts), args.out)
     return 0
 
 
@@ -262,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # parser.error() inside a handler
         return int(exc.code or 0)
     except (Eye2vecError, ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {str(exc).translate(_ESCAPE_LINE_BREAKS)}\n")
         return 1
 
 

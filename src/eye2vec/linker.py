@@ -12,6 +12,15 @@ last ``_TREE_CACHE_SIZE`` distinct trees, keyed by the tree itself (trees
 hash by identity). Trees from ``parse`` are memoized and shared, so
 a request over a program seen before walks no tree at all. A tree must not
 be mutated once it has been linked.
+
+Beside those facts each cached tree keeps the path context of every leaf
+pair linked over it so far, self transitions included, so a pair that
+recurs across recordings is built and hashed once per tree. A context does
+not depend on ``LinkOptions``, so the pair alone is the key. The memo holds
+at most ``_PAIR_MEMO_SIZE`` (4096) pairs per tree; once full, new pairs are
+built as on a miss and not stored. At about 415 bytes a pair, the worst
+case over the 16 cached trees is about 27 MB. It goes with its tree's
+cache entry, so ``_tree_facts.cache_clear()`` frees it.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ from .minilang import _TREE_CACHE_SIZE, AstNode, Child, LeafToken, leaves, paren
 from .pathctx import PathContext, context_between, make_context
 
 DEFAULT_SNAP_TOL_COLS = 3
+
+_PAIR_MEMO_SIZE = 4096
 
 _NOT_GRID = "fixation must be in grid mode; run the coordinate converter first"
 
@@ -152,6 +163,7 @@ def map_fixation(
 
 
 _LineIndex = dict[int, tuple[list[int], list[LeafToken]]]
+_PairMemo = dict[tuple[LeafToken, LeafToken], PathContext]
 
 
 def _line_index(root: AstNode) -> _LineIndex:
@@ -172,13 +184,14 @@ def _line_index(root: AstNode) -> _LineIndex:
 @functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
 def _tree_facts(
     root: AstNode,
-) -> tuple[_LineIndex, dict[Child, AstNode], dict[AstNode, int]]:
-    """``_line_index`` and ``parents_and_depths`` of ``root``, once per tree.
+) -> tuple[_LineIndex, dict[Child, AstNode], dict[AstNode, int], _PairMemo]:
+    """``_line_index`` and ``parents_and_depths`` of ``root``, once per tree,
+    and the tree's pair memo, empty until ``build_profile`` fills it.
 
     The cache holds the tree, so its identity is not reused while the entry
-    lives; callers only read what it returns.
+    lives; callers only read what it returns, except the memo.
     """
-    return (_line_index(root), *parents_and_depths(root))
+    return (_line_index(root), *parents_and_depths(root), {})
 
 
 def _nearest_leaf(
@@ -227,15 +240,16 @@ def build_profile(
     transitions) is returned as a valid, empty profile.
 
     One pass over the fixations counts each (leaf, leaf) pair; then each
-    distinct pair's path context is built and hashed once and takes the
-    pair's count. Pairs that give the same context sum, and contexts enter
-    the profile in the order of their first transition.
+    distinct pair takes its path context from the tree's pair memo, or
+    builds and hashes it there, and the context takes the pair's count.
+    Pairs that give the same context sum, and contexts enter the profile in
+    the order of their first transition.
     """
     options = options or LinkOptions()
     if recording.mode != "grid" and (recording.columns is None or recording.columns[0]):
         raise TypeError(_NOT_GRID)
     _, lines, cols, _ = recording.columns
-    index, parents, depths = _tree_facts(root)
+    index, parents, depths, memo = _tree_facts(root)
     keep_self = options.self_transitions == "keep"
     # leaves hash by identity, so a pair key never compares leaf text
     pairs: dict[tuple[LeafToken, LeafToken], int] = {}
@@ -253,10 +267,15 @@ def build_profile(
         pairs[pair] = pairs.get(pair, 0) + 1
         previous = leaf
     counts: dict[PathContext, int] = {}
-    for (a, b), count in pairs.items():
-        if a is b:
-            context = _self_transition_context(a, parents)
-        else:
-            context = context_between(a, b, parents, depths)
+    for pair, count in pairs.items():
+        context = memo.get(pair)
+        if context is None:
+            a, b = pair
+            if a is b:
+                context = _self_transition_context(a, parents)
+            else:
+                context = context_between(a, b, parents, depths)
+            if len(memo) < _PAIR_MEMO_SIZE:
+                memo[pair] = context
         counts[context] = counts.get(context, 0) + count
     return TransitionProfile.from_counts(recording.recording_id, counts)

@@ -9,6 +9,7 @@ links: each call takes parents and depths from one ``parents_and_depths`` walk.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NotALeaf, SameLeaf
@@ -46,8 +47,10 @@ def make_context(source_text: str, path_encoding: str, target_text: str) -> Path
 
 def path_between(root: AstNode, a: LeafToken, b: LeafToken) -> PathContext:
     """Context for the unique tree path from leaf ``a`` to leaf ``b``, from one
-    O(n) walk of the tree; for many pairs, ``all_path_contexts`` and
-    ``linker.build_profile`` walk it once per call."""
+    O(n) walk of the tree. For many pairs, ``all_path_contexts`` walks it
+    once per call, and ``linker.build_profile`` reads the tree's parents and
+    depths, and the contexts of pairs it has linked before, from the
+    linker's per-tree cache."""
     parents, depths = parents_and_depths(root)
     for leaf in (a, b):
         if not isinstance(leaf, LeafToken):
@@ -98,9 +101,14 @@ def all_path_contexts(
     """
     if max_length < 0 or max_width < 0:
         raise ValueError("caps must be >= 0 (0 disables the cap)")
+    return list(_iter_path_contexts(root, max_length, max_width))
+
+
+def _iter_path_contexts(root: AstNode, max_length: int, max_width: int) -> Iterator[PathContext]:
+    """``all_path_contexts`` one context at a time, in the same order; the
+    caller checks the caps."""
     leaf_list = leaves(root)
     parents, depths = parents_and_depths(root)
-    contexts: list[PathContext] = []
     for i, source in enumerate(leaf_list):
         for j in range(i + 1, len(leaf_list)):
             if max_width and j - i > max_width:
@@ -109,5 +117,4 @@ def all_path_contexts(
             context = context_between(source, target, parents, depths)
             if max_length and context.node_count > max_length:
                 continue
-            contexts.append(context)
-    return contexts
+            yield context

@@ -12,7 +12,9 @@ from eye2vec.embeddings import MAX_DIM, EmbeddingTable
 from eye2vec.gaze import read_fixations
 from eye2vec.linker import LinkOptions, build_profile
 from eye2vec.minilang import parse
+from eye2vec.pathctx import DEFAULT_MAX_LENGTH, DEFAULT_MAX_WIDTH, all_path_contexts
 from eye2vec.simulator import MAX_FIXATIONS, MAX_RECORDINGS
+from progen import generate_program
 
 
 @pytest.fixture()
@@ -44,8 +46,6 @@ class TestPaths:
         assert all(line.count(",") >= 2 for line in lines)
 
     def test_matches_library(self, src_file, capsys):
-        from eye2vec.pathctx import all_path_contexts
-
         assert main(["paths", str(src_file), "--max-length", "0", "--max-width", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         root = parse(src_file.read_text(encoding="utf-8"))
@@ -60,6 +60,26 @@ class TestPaths:
         assert main(["paths", str(src), "--out", str(out)]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[-1] == "t19998,Name↑BinExpr:+↑BinExpr:+↓Name,t19999"
+
+    @pytest.mark.parametrize(
+        "max_length,max_width", [(0, 0), (DEFAULT_MAX_LENGTH, DEFAULT_MAX_WIDTH)]
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_streamed_bytes_equal_the_joined_list(self, tmp_path, capsys, seed, max_length,
+                                                  max_width):
+        # the output as one string joined from all_path_contexts, as paths wrote it before
+        source = generate_program(seed, max_leaves=60) + generate_program(seed + 100)
+        src = tmp_path / "prog.mj"
+        src.write_text(source, encoding="utf-8")
+        want = "".join(
+            c.context_string + "\n" for c in all_path_contexts(parse(source), max_length, max_width)
+        ).encode("utf-8")
+        flags = ["--max-length", str(max_length), "--max-width", str(max_width)]
+        assert main(["paths", str(src), *flags]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == want
+        out = tmp_path / "paths.txt"
+        assert main(["paths", str(src), *flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == want
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.mj"
@@ -86,6 +106,16 @@ class TestHostileInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "nested" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line_break", ["\x0b", "\x0c", "\x85", "\u2028"])
+    def test_error_quoting_a_line_break_exits_1_with_one_line(self, tmp_path, capsys, line_break):
+        # the parse error quotes the string literal it found in place of 'class'
+        src = tmp_path / "prog.mj"
+        src.write_text(f'"a{line_break}b"', encoding="utf-8")
+        assert main(["paths", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err == f"error: 1:1: expected 'class', found '\"a{repr(line_break)[1:-1]}b\"'\n"
 
     @pytest.mark.parametrize("subcommand", ["compare", "cluster"])
     def test_deeply_nested_vector_json_exits_1_with_one_line(self, tmp_path, capsys, subcommand):

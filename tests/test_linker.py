@@ -20,6 +20,7 @@ from eye2vec.gaze import (
     write_fixations,
 )
 from eye2vec.linker import (
+    _PAIR_MEMO_SIZE,
     LinkOptions,
     TransitionProfile,
     _tree_facts,
@@ -469,3 +470,63 @@ class TestMemoizedTrees:
             map_fixation(fixation, parse(f"class L{i} {{ }}"))
         info = _tree_facts.cache_info()
         assert info.currsize == info.maxsize == _TREE_CACHE_SIZE
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=_sources(), data=st.data())
+    def test_distinct_recordings_over_one_memoized_tree_match_oracle(self, source, data):
+        # each call reads and adds to the pair memo the calls before it filled
+        root = parse(source)
+        oracle_root = oracle_parse(source)
+        for i in range(data.draw(st.integers(2, 5), label="recordings")):
+            recording = data.draw(
+                st.sampled_from([_recording, _revisiting_recording]), label=f"kind {i}"
+            )(data, source, root)
+            options = LinkOptions(
+                snap_tol_cols=data.draw(st.integers(0, 6), label=f"tol {i}"),
+                self_transitions=data.draw(st.sampled_from(["keep", "drop"]), label=f"self {i}"),
+                chain=data.draw(st.sampled_from(["skip", "strict"]), label=f"chain {i}"),
+            )
+            want = oracle_build_profile_per_transition(recording, oracle_root, options)
+            assert build_profile(recording, parse(source), options).to_json() == want.to_json()
+
+    def test_a_recurring_pair_gives_the_same_context_object(self):
+        source = "class A { int f() {\n a = b;\n return a;\n} }"
+        root = parse(source)
+        a, b = leaf_by_text(root, "a", 0), leaf_by_text(root, "b", 0)
+        first = build_profile(recording_over([a, b, b]), root, LinkOptions(self_transitions="keep"))
+        # another recording, other options, the same tree read back from parse
+        options = LinkOptions(self_transitions="keep", snap_tol_cols=0)
+        second = build_profile(recording_over([b, a, b, b]), parse(source), options)
+        (ab, bb), (ba, ab_again, bb_again) = list(first.entries), list(second.entries)
+        assert ab_again is ab and bb_again is bb
+        assert ba is not ab and ba == path_between(root, b, a)
+        assert _tree_facts(root)[3][(a, b)] is ab
+
+    def test_pair_memo_stays_bounded_and_later_profiles_match_oracle(self):
+        # enough generated classes that ordered leaf pairs outnumber the memo
+        source, lv, seed = "", [], 0
+        while len(lv) * (len(lv) - 1) <= _PAIR_MEMO_SIZE + 200:
+            source += generate_program(seed, max_leaves=60)
+            lv, seed = leaves(parse(source)), seed + 1
+        root = parse(source)
+        memo = _tree_facts(root)[3]
+        ordered = [x for a in lv for b in lv if a is not b for x in (a, b)]
+        oracle_root = oracle_parse(source)
+        # first every pair in one order, then again in reverse with self transitions
+        for sequence, options in (
+            (ordered, LinkOptions()),
+            (ordered[::-1] + ordered[:50], LinkOptions(self_transitions="keep")),
+        ):
+            recording = recording_over(sequence)
+            want = oracle_build_profile_per_transition(recording, oracle_root, options)
+            assert build_profile(recording, root, options).to_json() == want.to_json()
+            assert len(memo) == _PAIR_MEMO_SIZE
+
+    def test_pair_memo_goes_with_its_tree_cache_entry(self):
+        root = parse(sample_source("accumulator"))
+        build_profile(recording_over(leaves(root)[:6]), root)
+        memo = _tree_facts(root)[3]
+        assert memo
+        _tree_facts.cache_clear()
+        assert _tree_facts(root)[3] == {}
+        assert _tree_facts(root)[3] is not memo
