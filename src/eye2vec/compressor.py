@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, check_dim, context_vector
+from .embeddings import EmbeddingTable, context_vector
 from .errors import EmptyProfileError, FormatError, ZeroVectorError
 from .linker import TransitionProfile
 
@@ -94,7 +94,6 @@ def compress(
     """
     if profile.total_transitions == 0:
         raise EmptyProfileError(f"profile {profile.recording_id!r} has no transitions")
-    check_dim(table.dim)
     out_dim = 3 * table.dim
     raw = np.zeros(out_dim, dtype=np.float64)
     for context in sorted(profile.entries, key=lambda c: c.context_string):

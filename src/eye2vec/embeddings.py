@@ -5,14 +5,13 @@ hash-based generator, so the pipeline runs reproducibly with or without a
 pretrained export. Keys are namespaced ``tok:<text>`` and
 ``path:<encoding>``.
 
-A fallback vector's splitmix64 stream is generated as one ``np.uint64``
-array, and each table computes it once per absent key: ``lookup`` keeps it
-in the table's private memo, keyed by the key, ``dim`` and ``fallback_seed``
-in force, so changing either field on a table gives the new vectors; a
-``dim`` outside 1 to ``MAX_DIM`` raises ``ValueError`` where vectors of
-that size would be allocated, in ``fallback_vector`` and ``compress``. The
-memo costs one ``dim``-float vector per distinct absent key for the table's
-lifetime; it never enters ``entries``.
+An ``EmbeddingTable`` is frozen: its ``dim`` (1 to ``MAX_DIM``) and
+``fallback_seed`` are checked once, where it is made, and cannot be
+reassigned; ``dataclasses.replace`` makes a new table. A fallback vector's
+splitmix64 stream is generated as one ``np.uint64`` array, and each table
+computes it once per absent key: ``lookup`` keeps it in the table's private
+memo, keyed by the key alone. The memo costs one ``dim``-float vector per
+distinct absent key for the table's lifetime; it never enters ``entries``.
 """
 
 from __future__ import annotations
@@ -36,29 +35,25 @@ MAX_DIM = 65536
 
 
 def check_dim(dim: int) -> None:
-    """Raise ``ValueError`` unless ``1 <= dim <= MAX_DIM``.
-
-    Checked where a table is made and again where vectors of that size are
-    allocated, since ``EmbeddingTable.dim`` may be reassigned in between.
-    """
+    """Raise ``ValueError`` unless ``1 <= dim <= MAX_DIM``."""
     if dim < 1:
         raise ValueError("dim must be positive")
     if dim > MAX_DIM:
         raise ValueError(f"dim must be at most {MAX_DIM}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingTable:
     dim: int
     entries: dict[str, np.ndarray] = field(default_factory=dict)
     fallback_seed: int = DEFAULT_SEED
-    _fallbacks: dict[tuple[str, int, int], np.ndarray] = field(
+    _fallbacks: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
-        self.fallback_seed &= 0xFFFFFFFFFFFFFFFF
+        object.__setattr__(self, "fallback_seed", self.fallback_seed & 0xFFFFFFFFFFFFFFFF)
         for key, vec in self.entries.items():
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (self.dim,) or not np.all(np.isfinite(arr)):
@@ -68,9 +63,11 @@ class EmbeddingTable:
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
-    """Load a TSV table: header line, then ``key<TAB>f1 f2 ... fd`` rows."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    """Load a TSV table: header line, then ``key<TAB>f1 f2 ... fd`` rows, each
+    ended by ``\\n`` only, so a key may hold any other line break."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final line break ends the last row, it starts none
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise FormatError(1, f"expected header {HEADER_PREFIX!r}<d>")
     try:
@@ -134,10 +131,9 @@ def lookup(table: EmbeddingTable, key: str) -> np.ndarray:
     stored = table.entries.get(key)
     if stored is not None:
         return stored
-    memo_key = (key, table.dim, table.fallback_seed)
-    vector = table._fallbacks.get(memo_key)
+    vector = table._fallbacks.get(key)
     if vector is None:
-        vector = table._fallbacks[memo_key] = fallback_vector(key, table.dim, table.fallback_seed)
+        vector = table._fallbacks[key] = fallback_vector(key, table.dim, table.fallback_seed)
     return vector
 
 

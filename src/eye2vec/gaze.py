@@ -8,7 +8,8 @@ Two CSV layouts are accepted, distinguished by their mandatory headers:
 Neither format carries any personal identifier; a recording is just an id
 (derived from the file name) plus fixations.
 
-A recording holds its fixations as the four columns of its CSV, and
+A recording is in one mode, pixel or grid, and holds its fixations as the
+four columns of its CSV; its shape is checked once, where it is made, and
 ``Recording.fixations`` builds ``Fixation`` objects only when asked.
 ``read_fixations`` converts and checks whole columns; only when some row is
 bad does it run the row-by-row reader, whose one pass raises the error for
@@ -29,6 +30,7 @@ from .errors import FormatError, OutOfViewport
 
 PIXEL_HEADER = ["timestamp_ms", "x_px", "y_px", "duration_ms"]
 GRID_HEADER = ["timestamp_ms", "line", "col", "duration_ms"]
+_ALREADY_GRID = "fixation is already in grid mode"
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class Recording:
     is ``"pixel"`` and ``(timestamp_ms, line, col, duration_ms)`` when it is
     ``"grid"``. ``Recording(recording_id, fixations)`` transposes a list of
     fixations; an empty list gives grid mode, and a list that mixes pixel and
-    grid positions is kept as it is, with mode and columns ``None``.
-    ``fixations`` builds a new list of ``Fixation`` on each access.
+    grid positions raises ``ValueError``. ``fixations`` builds a new list of
+    ``Fixation`` on each access.
     """
 
     def __init__(self, recording_id: str, fixations: Iterable[Fixation] = ()) -> None:
@@ -85,9 +87,8 @@ class Recording:
             raise ValueError("recording_id must be nonempty")
         self.recording_id = recording_id
         fixations = list(fixations)
-        self._mixed: list[Fixation] = []
         if all(isinstance(f.position, GridPos) for f in fixations):
-            self.mode: str | None = "grid"
+            self.mode = "grid"
             first = tuple(f.position.line for f in fixations)
             second = tuple(f.position.col for f in fixations)
         elif all(isinstance(f.position, PixelPos) for f in fixations):
@@ -95,9 +96,8 @@ class Recording:
             first = tuple(f.position.x_px for f in fixations)
             second = tuple(f.position.y_px for f in fixations)
         else:
-            self.mode, self.columns, self._mixed = None, None, fixations
-            return
-        self.columns: _Columns | None = (
+            raise ValueError("recording mixes pixel and grid fixations")
+        self.columns: _Columns = (
             tuple(f.timestamp_ms for f in fixations), first, second,
             tuple(f.duration_ms for f in fixations))
 
@@ -109,8 +109,6 @@ class Recording:
 
     @property
     def fixations(self) -> list[Fixation]:
-        if self.columns is None:
-            return list(self._mixed)
         position = GridPos if self.mode == "grid" else PixelPos
         return [Fixation(t, d, position(a, b)) for t, a, b, d in zip(*self.columns)]
 
@@ -147,7 +145,7 @@ def to_grid(fixation: Fixation, grid: FontGrid) -> Fixation:
     left of, above or too far from the origin raises ``OutOfViewport``."""
     pos = fixation.position
     if not isinstance(pos, PixelPos):
-        raise TypeError("fixation is already in grid mode")
+        raise TypeError(_ALREADY_GRID)
     line, col = _cell(pos.x_px, pos.y_px, grid)
     return Fixation(fixation.timestamp_ms, fixation.duration_ms, GridPos(line, col))
 
@@ -270,8 +268,6 @@ def _format_pixel(value: float) -> str:
 
 def format_fixations(recording: Recording) -> str:
     """CSV text of a recording in its mode."""
-    if recording.columns is None:
-        raise ValueError("recording mixes pixel and grid fixations")
     if recording.mode == "grid":
         header = GRID_HEADER
         rows = [f"{t},{line},{col},{d}" for t, line, col, d in zip(*recording.columns)]
@@ -290,12 +286,13 @@ def write_fixations(recording: Recording, path: str | Path) -> None:
 def convert_recording(recording: Recording, grid: FontGrid) -> Recording:
     """Apply ``to_grid`` to every fixation of a pixel-mode recording.
 
-    A pixel recording's x and y columns are converted cell by cell, so the
-    first bad row raises ``OutOfViewport``; a recording with grid fixations
-    raises ``to_grid``'s ``TypeError``.
+    The x and y columns are converted cell by cell, so the first bad row
+    raises ``OutOfViewport``. A grid recording with rows raises ``to_grid``'s
+    ``TypeError``; a recording with no rows, in either mode, gives an empty
+    grid recording.
     """
-    if recording.mode != "pixel":
-        return Recording(recording.recording_id, [to_grid(f, grid) for f in recording.fixations])
+    if recording.mode != "pixel" and recording.columns[0]:
+        raise TypeError(_ALREADY_GRID)
     timestamps, xs, ys, durations = recording.columns
     cells = [_cell(x, y, grid) for x, y in zip(xs, ys)]
     lines, cols = tuple(line for line, _ in cells), tuple(col for _, col in cells)
@@ -304,9 +301,13 @@ def convert_recording(recording: Recording, grid: FontGrid) -> Recording:
 
 
 def read_labels(path: str | Path) -> dict[str, str]:
-    """Read a two-column ``recording_id<TAB>label`` TSV."""
+    """Read a two-column ``recording_id<TAB>label`` TSV; rows end at ``\\n``
+    only, so an id or label may hold any other line break."""
     labels: dict[str, str] = {}
-    for row_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final line break ends the last row, it starts none
+    for row_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

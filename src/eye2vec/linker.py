@@ -233,11 +233,12 @@ def build_profile(
     """Count transitions between consecutive mapped fixations.
 
     The recording's line and col columns are mapped as by ``map_fixation``;
-    a recording with pixel fixations raises ``TypeError``. With
-    ``chain="skip"`` dropped fixations do not sever the sequence; with
-    ``chain="strict"`` they do. Self transitions (same leaf twice) are
-    dropped by default and never break the chain. An empty result (zero
-    transitions) is returned as a valid, empty profile.
+    a pixel recording with rows raises ``TypeError``. With ``chain="skip"``
+    dropped fixations do not sever the sequence; with ``chain="strict"``
+    they do. Self transitions (same leaf twice) are dropped by default and
+    never break the chain. An empty result (zero transitions), as from a
+    recording with no rows in either mode, is returned as a valid, empty
+    profile.
 
     One pass over the fixations counts each (leaf, leaf) pair; then each
     distinct pair takes its path context from the tree's pair memo, or
@@ -246,7 +247,7 @@ def build_profile(
     the order of their first transition.
     """
     options = options or LinkOptions()
-    if recording.mode != "grid" and (recording.columns is None or recording.columns[0]):
+    if recording.mode != "grid" and recording.columns[0]:
         raise TypeError(_NOT_GRID)
     _, lines, cols, _ = recording.columns
     index, parents, depths, memo = _tree_facts(root)

@@ -31,12 +31,6 @@ CTX_BC = make_context("b", "Q", "c")
 
 
 class TestCompress:
-    def test_table_dim_reassigned_above_the_limit_is_refused(self, two_context_table):
-        # refused before the 3 * dim sum is allocated
-        two_context_table.dim = 10**15
-        with pytest.raises(ValueError, match="dim must be at most"):
-            compress(TransitionProfile.from_counts("r", {CTX_AB: 1}), two_context_table)
-
     def test_single_context_equals_its_vector(self, two_context_table):
         profile = TransitionProfile.from_counts("r", {CTX_AB: 5})
         vector = compress(profile, two_context_table, normalize=False)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,26 @@ def write_table(tmp_path, text, name="emb.tsv"):
     return path
 
 
+# The line breaks str.splitlines() knows besides \n and \r, each inside a
+# key with \n row ends, and a CRLF file; a string literal may hold any of them.
+_LINE_ENDS = [(brk, "\n") for brk in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"] + [("", "\r\n")]
+
+
 class TestLoadTable:
+    @pytest.mark.parametrize("brk,end", _LINE_ENDS)
+    def test_rows_end_at_newline_only(self, tmp_path, brk, end):
+        key = f'tok:"x{brk}y"'
+        rows = ["eye2vec-embeddings v1 dim=2", f"{key}\t1 0", "path:P\t0 1"]
+        path = tmp_path / "emb.tsv"
+        path.write_bytes(end.join([*rows, ""]).encode("utf-8"))
+        table = load_table(path)
+        assert list(table.entries) == [key, "path:P"]
+        assert table.entries[key].tolist() == [1.0, 0.0]
+        path.write_bytes(end.join([*rows, f"{key}\t0 1", ""]).encode("utf-8"))
+        with pytest.raises(FormatError) as exc:
+            load_table(path)
+        assert (exc.value.row, exc.value.message) == (4, f"duplicate key {key!r}")
+
     def test_loads_rows(self, tmp_path):
         path = write_table(
             tmp_path,
@@ -93,11 +114,12 @@ def test_table_dim_above_the_limit(dim):
 
 
 def test_dim_reassigned_above_the_limit_is_refused_before_allocating():
-    # refused in fallback_vector, before a 10**15-component stream is asked for
+    # a table's dim is fixed once it is made; fallback_vector checks its own
+    # dim before a 10**15-component stream is asked for
     table = EmbeddingTable(dim=8)
-    table.dim = 10**15
-    with pytest.raises(ValueError, match=f"dim must be at most {MAX_DIM}"):
-        lookup(table, "tok:a")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.dim = 10**15
+    assert table.dim == 8
     with pytest.raises(ValueError, match=f"dim must be at most {MAX_DIM}"):
         fallback_vector("tok:a", 10**15, 0)
 
@@ -219,10 +241,12 @@ class TestFallbackMemo:
     def test_changed_field_gives_new_fallback(self, field, value):
         table = EmbeddingTable(dim=16, fallback_seed=3)
         before = lookup(table, "tok:x")
-        setattr(table, field, value)
-        after = lookup(table, "tok:x")
-        assert after.tobytes() == fallback_vector("tok:x", table.dim, table.fallback_seed).tobytes()
+        changed = dataclasses.replace(table, **{field: value})
+        after = lookup(changed, "tok:x")
+        assert after.tobytes() == fallback_vector("tok:x", changed.dim,
+                                                  changed.fallback_seed).tobytes()
         assert after.tobytes() != before.tobytes()
+        assert lookup(table, "tok:x") is before
 
     def test_entry_added_later_wins_over_memo(self):
         table = EmbeddingTable(dim=2, fallback_seed=3)

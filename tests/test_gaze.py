@@ -200,11 +200,6 @@ class TestWriteFixations:
         write_fixations(read_fixations(first, mode="pixel"), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_mixed_modes_rejected(self, tmp_path):
-        recording = Recording("m", [Fixation(0, 1, GridPos(1, 1)), Fixation(1, 1, PixelPos(1, 1))])
-        with pytest.raises(ValueError):
-            write_fixations(recording, tmp_path / "m.csv")
-
 
 class TestConvertRecording:
     def test_all_fixations_converted(self):
@@ -214,7 +209,24 @@ class TestConvertRecording:
         assert converted.recording_id == "r"
 
 
+# The line breaks str.splitlines() knows besides \n and \r, each inside an id
+# and a label with \n row ends, and a CRLF file.
+_LINE_ENDS = [(brk, "\n") for brk in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"] + [("", "\r\n")]
+
+
 class TestReadLabels:
+    @pytest.mark.parametrize("brk,end", _LINE_ENDS)
+    def test_rows_end_at_newline_only(self, tmp_path, brk, end):
+        rows = [f"rec{brk}a\tex{brk}pert", "rec_b\tnovice"]
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(end.join([*rows, ""]).encode("utf-8"))
+        assert read_labels(path) == {f"rec{brk}a": f"ex{brk}pert", "rec_b": "novice"}
+        path.write_bytes(end.join([*rows, f"ice{brk}x", ""]).encode("utf-8"))
+        with pytest.raises(FormatError) as exc:
+            read_labels(path)
+        assert (exc.value.row, exc.value.message) == (
+            3, f"expected 'recording_id<TAB>label', got {f'ice{brk}x'!r}")
+
     def test_reads_pairs(self, tmp_path):
         path = write(tmp_path, "labels.tsv", "rec_a\texpert\nrec_b\tnovice\n")
         assert read_labels(path) == {"rec_a": "expert", "rec_b": "novice"}
@@ -249,11 +261,10 @@ class TestRecordingColumns:
         recording.fixations.clear()
         assert recording.fixations == [Fixation(0, 10, PixelPos(1.5, 2.5))]
 
-    def test_mixed_list_kept_without_columns(self):
+    def test_mixed_list_refused(self):
         fixations = [Fixation(0, 1, GridPos(1, 1)), Fixation(1, 1, PixelPos(1, 1))]
-        recording = Recording("m", fixations)
-        assert (recording.mode, recording.columns) == (None, None)
-        assert recording.fixations == fixations
+        with pytest.raises(ValueError, match="^recording mixes pixel and grid fixations$"):
+            Recording("m", fixations)
 
     def test_equality_compares_id_and_fixations(self, tmp_path):
         path = write(tmp_path, "r.csv", "timestamp_ms,line,col,duration_ms\n0,1,2,10\n")
@@ -391,14 +402,15 @@ class TestConvertAgainstToGrid:
         recording = Recording("r", [Fixation(i, 1, PixelPos(*xy)) for i, xy in enumerate(pixels)])
         assert _converted(recording, grid) == _per_row(recording, grid)
 
-    def test_grid_and_mixed_recordings_raise_as_to_grid_does(self):
+    def test_grid_recording_raises_as_to_grid_does(self, tmp_path):
         grid = FontGrid(10, 10, 10, 20)
-        assert convert_recording(Recording("e"), grid).fixations == []
-        with pytest.raises(TypeError):
-            convert_recording(Recording("g", [Fixation(0, 1, GridPos(1, 1))]), grid)
-        ok, grid_fix, outside = (Fixation(0, 1, PixelPos(15, 15)), Fixation(1, 1, GridPos(1, 1)),
-                                 Fixation(2, 1, PixelPos(5, 5)))
-        with pytest.raises(TypeError):
-            convert_recording(Recording("m", [ok, grid_fix, outside]), grid)
-        with pytest.raises(OutOfViewport):
-            convert_recording(Recording("m", [ok, outside, grid_fix]), grid)
+        empty_pixel = read_fixations(write(tmp_path, "p.csv", ",".join(PIXEL_HEADER) + "\n"),
+                                     "pixel")
+        for empty in (Recording("e"), empty_pixel):
+            converted = convert_recording(empty, grid)
+            assert (converted.mode, converted.fixations) == ("grid", [])
+        grid_fixation = Fixation(0, 1, GridPos(1, 1))
+        with pytest.raises(TypeError, match="^fixation is already in grid mode$"):
+            to_grid(grid_fixation, grid)
+        with pytest.raises(TypeError, match="^fixation is already in grid mode$"):
+            convert_recording(Recording("g", [grid_fixation]), grid)

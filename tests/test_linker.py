@@ -104,11 +104,9 @@ class TestMapFixation:
         with pytest.raises(TypeError):
             map_fixation(Fixation(0, 100, PixelPos(1, 1)), root)
 
-    def test_pixel_and_mixed_recordings_rejected(self, root):
-        pixel, grid = Fixation(0, 100, PixelPos(1, 1)), Fixation(1, 100, GridPos(1, 1))
-        for fixations in ([pixel], [grid, pixel]):
-            with pytest.raises(TypeError, match="grid mode"):
-                build_profile(Recording("p", fixations), root)
+    def test_pixel_recording_rejected(self, root):
+        with pytest.raises(TypeError, match="grid mode"):
+            build_profile(Recording("p", [Fixation(0, 100, PixelPos(1, 1))]), root)
 
     def test_empty_pixel_recording_gives_empty_profile(self, root, tmp_path):
         path = tmp_path / "p.csv"
