@@ -33,9 +33,10 @@ print(f"\nsimulated {len(recordings)} recordings of 50 fixations")
 # 4. Link fixations to leaves and count path-context transitions.
 profiles = {rid: e2v.build_profile(rec, root) for rid, rec in recordings.items()}
 example = profiles["defuse_0"]
-top_context, top_entry = example.sorted_entries()[0]
+top_context, top_count = example.sorted_entries()[0]
+top_ratio = top_count / example.total_transitions
 print(f"defuse_0: {example.total_transitions} transitions, "
-      f"top context {top_context.context_string!r} with ratio {top_entry.ratio:.2f}")
+      f"top context {top_context.context_string!r} with ratio {top_ratio:.2f}")
 
 # 5. Compress ratio-weighted context embeddings into one eye vector each.
 table = e2v.EmbeddingTable(dim=64, fallback_seed=42)

@@ -51,7 +51,6 @@ from .hashing import SplitMix64, fnv1a64
 from .linker import (
     LinkOptions,
     MappedFixation,
-    ProfileEntry,
     TransitionProfile,
     build_profile,
     map_fixation,
@@ -67,7 +66,7 @@ from .minilang import (
     pretty_print,
     tokenize,
 )
-from .pathctx import PathContext, all_path_contexts, make_context, path_between
+from .pathctx import PathContext, all_path_contexts, path_between
 from .simulator import Strategy, simulate
 
 __version__ = "0.1.0"
@@ -99,7 +98,6 @@ __all__ = [
     "ParseError",
     "PathContext",
     "PixelPos",
-    "ProfileEntry",
     "Recording",
     "SameLeaf",
     "SourceSpan",
@@ -123,7 +121,6 @@ __all__ = [
     "leaves",
     "load_table",
     "lookup",
-    "make_context",
     "map_fixation",
     "nearest_centroid_predict",
     "parse",

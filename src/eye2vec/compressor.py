@@ -2,7 +2,8 @@
 
 The eye vector is the ratio-weighted sum of the profile's context vectors;
 the more often a context was traversed, the more its embedding contributes.
-Summation runs in a canonical order so outputs are bit-stable.
+Summation runs in the profile's canonical order, by context string, so
+outputs are bit-stable.
 """
 
 from __future__ import annotations
@@ -89,15 +90,17 @@ def compress(
 ) -> EyeVector:
     """Ratio-weighted sum of the profile's context vectors.
 
-    Entries are summed sorted by context string so the floating-point result
-    does not depend on profile construction order.
+    Each context weighs ``count / total_transitions``. The profile stores its
+    entries sorted by context string, so the floating-point result does not
+    depend on the order its counts were given in.
     """
     if profile.total_transitions == 0:
         raise EmptyProfileError(f"profile {profile.recording_id!r} has no transitions")
     out_dim = 3 * table.dim
     raw = np.zeros(out_dim, dtype=np.float64)
-    for context in sorted(profile.entries, key=lambda c: c.context_string):
-        raw += profile.entries[context].ratio * context_vector(table, context)
+    total = profile.total_transitions
+    for context, count in profile.entries.items():
+        raw += count / total * context_vector(table, context)
     if normalize:
         norm = float(np.linalg.norm(raw))
         if norm == 0.0:

@@ -7,11 +7,13 @@ pretrained export. Keys are namespaced ``tok:<text>`` and
 
 An ``EmbeddingTable`` is frozen: its ``dim`` (1 to ``MAX_DIM``) and
 ``fallback_seed`` are checked once, where it is made, and cannot be
-reassigned; ``dataclasses.replace`` makes a new table. A fallback vector's
-splitmix64 stream is generated as one ``np.uint64`` array, and each table
-computes it once per absent key: ``lookup`` keeps it in the table's private
-memo, keyed by the key alone. The memo costs one ``dim``-float vector per
-distinct absent key for the table's lifetime; it never enters ``entries``.
+reassigned; ``dataclasses.replace`` makes a new table. Each table keeps
+its entries in a dict of its own, never the one it was given. A fallback
+vector's splitmix64 stream is generated as one ``np.uint64`` array, and each
+table computes it once per absent key: ``lookup`` keeps it in the table's
+private memo, keyed by the key alone. The memo costs one ``dim``-float
+vector per distinct absent key for the table's lifetime; it never enters
+``entries``.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ class EmbeddingTable:
     def __post_init__(self) -> None:
         check_dim(self.dim)
         object.__setattr__(self, "fallback_seed", self.fallback_seed & 0xFFFFFFFFFFFFFFFF)
+        entries = {}
         for key, vec in self.entries.items():
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (self.dim,) or not np.all(np.isfinite(arr)):
                 raise ValueError(f"entry {key!r} is not a finite vector of length {self.dim}")
             arr.flags.writeable = False
-            self.entries[key] = arr
+            entries[key] = arr
+        object.__setattr__(self, "entries", entries)
 
 
 def load_table(path: str | Path) -> EmbeddingTable:

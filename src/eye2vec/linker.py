@@ -2,9 +2,9 @@
 
 Each consecutive pair of successfully mapped fixations contributes one
 transition. Transitions are counted per (leaf, leaf) pair, and each distinct
-pair's path context is built and hashed once per call; the per-context
-counts are normalized to ratios so recordings of different lengths stay
-comparable.
+pair's path context is built and hashed once per call. A profile holds the
+count of each context; a context's ratio, its count over all transitions,
+keeps recordings of different lengths comparable.
 
 What the linker needs of a tree (each line's leaves, every node's parent
 and depth) is computed on the first call over that tree and kept for the
@@ -34,7 +34,7 @@ from typing import Literal
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
 from .minilang import _TREE_CACHE_SIZE, AstNode, Child, LeafToken, leaves, parents_and_depths
-from .pathctx import PathContext, context_between, make_context
+from .pathctx import PathContext, context_between
 
 DEFAULT_SNAP_TOL_COLS = 3
 
@@ -49,13 +49,13 @@ class MappedFixation:
 
     fixation: Fixation
     leaf: LeafToken | None
-    mapping: Literal["hit", "snapped", "dropped"]
     snap_distance_cols: int = 0
-    drop_reason: str = ""
 
-    def __post_init__(self) -> None:
-        if (self.leaf is not None) != (self.mapping in ("hit", "snapped")):
-            raise ValueError("leaf must be present exactly for hit/snapped mappings")
+    @property
+    def mapping(self) -> Literal["hit", "snapped", "dropped"]:
+        if self.leaf is None:
+            return "dropped"
+        return "snapped" if self.snap_distance_cols else "hit"
 
 
 @dataclass(frozen=True)
@@ -73,38 +73,36 @@ class LinkOptions:
             raise ValueError("chain must be 'skip' or 'strict'")
 
 
+def _canonical(entry: tuple[PathContext, int]) -> tuple[str, str, str]:
+    context = entry[0]
+    return context.context_string, context.source_text, context.path_encoding
+
+
 @dataclass(frozen=True)
-class ProfileEntry:
-    count: int
-    ratio: float
-
-
-@dataclass
 class TransitionProfile:
+    """One recording's transition count per path context.
+
+    ``entries`` is stored sorted by context string, the canonical order that
+    ``compress`` and ``content_hash`` read, whatever order it was given in;
+    ``total_transitions`` is the sum of its counts. A context's ratio,
+    ``count / total_transitions``, is computed where it is used.
+
+    Two distinct contexts render one string when a leaf text holds commas
+    (``x``, ``P``, ``y,P,z`` and ``x,P,y``, ``P``, ``z``), so ties are broken
+    by source text and then path encoding, which settles the order.
+    """
+
     recording_id: str
-    entries: dict[PathContext, ProfileEntry] = field(default_factory=dict)
-    total_transitions: int = 0
+    entries: dict[PathContext, int] = field(default_factory=dict)
+    total_transitions: int = field(init=False)
 
     def __post_init__(self) -> None:
-        counted = sum(e.count for e in self.entries.values())
-        if counted != self.total_transitions:
-            raise ValueError(
-                f"counts sum to {counted} but total_transitions is {self.total_transitions}"
-            )
-        if self.total_transitions > 0:
-            ratio_sum = sum(e.ratio for e in self.entries.values())
-            if abs(ratio_sum - 1.0) > 1e-9:
-                raise ValueError(f"ratios sum to {ratio_sum}, expected 1")
-
-    @classmethod
-    def from_counts(cls, recording_id: str, counts: dict[PathContext, int]) -> "TransitionProfile":
-        total = sum(counts.values())
-        entries = {
-            ctx: ProfileEntry(count, count / total)
-            for ctx, count in counts.items()
-            if count > 0
-        }
-        return cls(recording_id, entries, total)
+        for count in self.entries.values():
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise ValueError(f"a count must be a positive integer, not {count!r}")
+        entries = dict(sorted(self.entries.items(), key=_canonical))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "total_transitions", sum(entries.values()))
 
     @property
     def is_empty(self) -> bool:
@@ -113,13 +111,12 @@ class TransitionProfile:
     def content_hash(self) -> int:
         """Order-independent fingerprint of (recording_id, counts)."""
         parts = [f"{self.recording_id}\x1f{self.total_transitions}"]
-        for ctx in sorted(self.entries, key=lambda c: c.context_string):
-            parts.append(f"{ctx.hash}:{self.entries[ctx].count}")
+        parts += [f"{ctx.hash}:{count}" for ctx, count in self.entries.items()]
         return fnv1a64("\x1e".join(parts))
 
-    def sorted_entries(self) -> list[tuple[PathContext, ProfileEntry]]:
-        """Entries by descending count, ties by context string ascending."""
-        return sorted(self.entries.items(), key=lambda kv: (-kv[1].count, kv[0].context_string))
+    def sorted_entries(self) -> list[tuple[PathContext, int]]:
+        """(context, count) pairs by descending count, ties by context string."""
+        return sorted(self.entries.items(), key=lambda kv: -kv[1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,10 +126,10 @@ class TransitionProfile:
                 {
                     "context": ctx.context_string,
                     "hash": str(ctx.hash),
-                    "count": entry.count,
-                    "ratio": entry.ratio,
+                    "count": count,
+                    "ratio": count / self.total_transitions,
                 }
-                for ctx, entry in self.sorted_entries()
+                for ctx, count in self.sorted_entries()
             ],
         }
 
@@ -154,12 +151,9 @@ def map_fixation(
     pos = fixation.position
     if not isinstance(pos, GridPos):
         raise TypeError(_NOT_GRID)
-    leaf, distance = _nearest_leaf(pos.line, pos.col, _tree_facts(root)[0], snap_tol_cols)
-    if leaf is None:
-        return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
-    if distance == 0:
-        return MappedFixation(fixation, leaf, "hit")
-    return MappedFixation(fixation, leaf, "snapped", snap_distance_cols=distance)
+    return MappedFixation(
+        fixation, *_nearest_leaf(pos.line, pos.col, _tree_facts(root)[0], snap_tol_cols)
+    )
 
 
 _LineIndex = dict[int, tuple[list[int], list[LeafToken]]]
@@ -224,7 +218,7 @@ def _nearest_leaf(
 def _self_transition_context(leaf: LeafToken, parents: dict[Child, AstNode]) -> PathContext:
     # A re-fixation has no leaf-to-leaf path; the degenerate context uses the
     # enclosing node's label as the sole path element.
-    return make_context(leaf.text, parents[leaf].label, leaf.text)
+    return PathContext(leaf.text, parents[leaf].label, leaf.text)
 
 
 def build_profile(
@@ -243,8 +237,7 @@ def build_profile(
     One pass over the fixations counts each (leaf, leaf) pair; then each
     distinct pair takes its path context from the tree's pair memo, or
     builds and hashes it there, and the context takes the pair's count.
-    Pairs that give the same context sum, and contexts enter the profile in
-    the order of their first transition.
+    Pairs that give the same context sum.
     """
     options = options or LinkOptions()
     if recording.mode != "grid" and recording.columns[0]:
@@ -279,4 +272,4 @@ def build_profile(
             if len(memo) < _PAIR_MEMO_SIZE:
                 memo[pair] = context
         counts[context] = counts.get(context, 0) + count
-    return TransitionProfile.from_counts(recording.recording_id, counts)
+    return TransitionProfile(recording.recording_id, counts)

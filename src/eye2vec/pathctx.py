@@ -1,16 +1,17 @@
 """Path contexts: the AST route between two leaves, with a stable encoding.
 
-A context is rendered as ``source_text,path_encoding,target_text`` where the
-encoding lists ancestor labels from the source leaf up to the lowest common
-ancestor (suffixed with an up arrow), the LCA label bare, and labels back
-down to the target leaf (prefixed with a down arrow). Trees hold no parent
-links: each call takes parents and depths from one ``parents_and_depths`` walk.
+A context is rendered as ``source_text,path_encoding,target_text`` and
+hashes itself (FNV-1a over that string) when it is made. The encoding lists
+ancestor labels from the source leaf up to the lowest common ancestor
+(suffixed with an up arrow), the LCA label bare, and labels back down to
+the target leaf (prefixed with a down arrow). Trees hold no parent links:
+each call takes parents and depths from one ``parents_and_depths`` walk.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotALeaf, SameLeaf
 from .hashing import fnv1a64
@@ -28,7 +29,10 @@ class PathContext:
     source_text: str
     path_encoding: str
     target_text: str
-    hash: int
+    hash: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hash", fnv1a64(self.context_string))
 
     @property
     def context_string(self) -> str:
@@ -38,11 +42,6 @@ class PathContext:
     def node_count(self) -> int:
         """Number of AST nodes on the path (ancestors + LCA + descendants)."""
         return self.path_encoding.count(UP) + self.path_encoding.count(DOWN) + 1
-
-
-def make_context(source_text: str, path_encoding: str, target_text: str) -> PathContext:
-    full = f"{source_text},{path_encoding},{target_text}"
-    return PathContext(source_text, path_encoding, target_text, fnv1a64(full))
 
 
 def path_between(root: AstNode, a: LeafToken, b: LeafToken) -> PathContext:
@@ -86,7 +85,7 @@ def context_between(
     encoding = "".join(f"{label}{UP}" for label in up)
     encoding += na.label
     encoding += "".join(f"{DOWN}{label}" for label in reversed(down))
-    return make_context(a.text, encoding, b.text)
+    return PathContext(a.text, encoding, b.text)
 
 
 def all_path_contexts(

@@ -77,7 +77,7 @@ def oracle_map_fixation(fixation: Fixation, root: AstNode, snap_tol_cols: int) -
     for leaf in leaves(root):
         span = leaf.span
         if span_contains(span, pos.line, pos.col):
-            return MappedFixation(fixation, leaf, "hit")
+            return MappedFixation(fixation, leaf)
         if span.start_line != pos.line:
             continue
         if pos.col < span.start_col:
@@ -92,8 +92,8 @@ def oracle_map_fixation(fixation: Fixation, root: AstNode, snap_tol_cols: int) -
             best = leaf
             best_distance = distance
     if best is not None:
-        return MappedFixation(fixation, best, "snapped", snap_distance_cols=best_distance)
-    return MappedFixation(fixation, None, "dropped", drop_reason="no-leaf")
+        return MappedFixation(fixation, best, best_distance)
+    return MappedFixation(fixation, None)
 
 
 def oracle_parents(root: AstNode) -> dict[int, AstNode]:
@@ -195,7 +195,7 @@ def oracle_build_profile_per_transition(
             context = context_between(previous, leaf, parents, depths)
         counts[context] = counts.get(context, 0) + 1
         previous = leaf
-    return TransitionProfile.from_counts(recording.recording_id, counts)
+    return TransitionProfile(recording.recording_id, counts)
 
 
 def _oracle_unit(values: np.ndarray) -> np.ndarray:

@@ -90,11 +90,11 @@ def test_criterion_2_ratio_normalization_and_count_conservation():
         )
         profile = build_profile(recording, root, options)
         if profile.total_transitions > 0:
-            ratio_sum = sum(e.ratio for e in profile.entries.values())
+            ratio_sum = sum(e["ratio"] for e in profile.to_json_dict()["entries"])
             assert abs(ratio_sum - 1.0) <= 1e-9
         counts, total = oracle_transition_counts(recording, root, options)
         assert profile.total_transitions == total
-        assert {c.context_string: e.count for c, e in profile.entries.items()} == counts
+        assert {c.context_string: n for c, n in profile.entries.items()} == counts
         checked += 1
     report(2, f"{checked} randomized recordings: ratios sum to 1 +/- 1e-9, counts conserved")
 
@@ -124,16 +124,16 @@ def test_criterion_4_compressor_linearity(sample_recordings):
         profile = profiles[rng.randint(len(profiles))]
         counts_a: dict = {}
         counts_b: dict = {}
-        for ctx, entry in profile.entries.items():
-            take = rng.randint(entry.count + 1)
+        for ctx, count in profile.entries.items():
+            take = rng.randint(count + 1)
             if take:
                 counts_a[ctx] = take
-            if entry.count - take:
-                counts_b[ctx] = entry.count - take
+            if count - take:
+                counts_b[ctx] = count - take
         if not counts_a or not counts_b:
             continue
-        part_a = TransitionProfile.from_counts("a", counts_a)
-        part_b = TransitionProfile.from_counts("b", counts_b)
+        part_a = TransitionProfile("a", counts_a)
+        part_b = TransitionProfile("b", counts_b)
         va = compress(part_a, table, normalize=False).values
         vb = compress(part_b, table, normalize=False).values
         vm = compress(profile, table, normalize=False).values

@@ -7,7 +7,7 @@ from eye2vec.compressor import EyeVector, compress, read_eye_vector
 from eye2vec.embeddings import context_vector, load_table
 from eye2vec.errors import EmptyProfileError, FormatError, ZeroVectorError
 from eye2vec.linker import TransitionProfile, build_profile
-from eye2vec.pathctx import make_context
+from eye2vec.pathctx import PathContext
 from eye2vec.simulator import Strategy, simulate
 
 
@@ -26,20 +26,20 @@ def two_context_table(tmp_path):
     return load_table(path)
 
 
-CTX_AB = make_context("a", "P", "b")
-CTX_BC = make_context("b", "Q", "c")
+CTX_AB = PathContext("a", "P", "b")
+CTX_BC = PathContext("b", "Q", "c")
 
 
 class TestCompress:
     def test_single_context_equals_its_vector(self, two_context_table):
-        profile = TransitionProfile.from_counts("r", {CTX_AB: 5})
+        profile = TransitionProfile("r", {CTX_AB: 5})
         vector = compress(profile, two_context_table, normalize=False)
         assert np.array_equal(vector.values, context_vector(two_context_table, CTX_AB))
         assert vector.dim == 6
         assert not vector.normalized
 
     def test_weighted_sum_of_two_contexts(self, two_context_table):
-        profile = TransitionProfile.from_counts("r", {CTX_AB: 3, CTX_BC: 1})
+        profile = TransitionProfile("r", {CTX_AB: 3, CTX_BC: 1})
         vector = compress(profile, two_context_table, normalize=False)
         v1 = context_vector(two_context_table, CTX_AB)
         v2 = context_vector(two_context_table, CTX_BC)
@@ -48,15 +48,15 @@ class TestCompress:
 
     def test_count_scale_invariance(self, two_context_table):
         base = compress(
-            TransitionProfile.from_counts("r", {CTX_AB: 3, CTX_BC: 1}), two_context_table
+            TransitionProfile("r", {CTX_AB: 3, CTX_BC: 1}), two_context_table
         )
         scaled = compress(
-            TransitionProfile.from_counts("r", {CTX_AB: 6, CTX_BC: 2}), two_context_table
+            TransitionProfile("r", {CTX_AB: 6, CTX_BC: 2}), two_context_table
         )
         assert np.max(np.abs(base.values - scaled.values)) <= 1e-12
 
     def test_normalized_output_unit_norm(self, two_context_table):
-        profile = TransitionProfile.from_counts("r", {CTX_AB: 3, CTX_BC: 2})
+        profile = TransitionProfile("r", {CTX_AB: 3, CTX_BC: 2})
         vector = compress(profile, two_context_table, normalize=True)
         assert abs(np.linalg.norm(vector.values) - 1.0) <= 1e-9
         assert vector.normalized
@@ -75,16 +75,16 @@ class TestCompress:
             encoding="utf-8",
         )
         table = load_table(path)
-        ctx = make_context("a", "P", "b")
-        flipped = make_context("b", "P", "a")
-        profile = TransitionProfile.from_counts("r", {ctx: 1, flipped: 1})
+        ctx = PathContext("a", "P", "b")
+        flipped = PathContext("b", "P", "a")
+        profile = TransitionProfile("r", {ctx: 1, flipped: 1})
         with pytest.raises(ZeroVectorError):
             compress(profile, table, normalize=True)
         unnormalized = compress(profile, table, normalize=False)
         assert np.array_equal(unnormalized.values, np.zeros(3))
 
     def test_meta_fields(self, two_context_table):
-        profile = TransitionProfile.from_counts("rec9", {CTX_AB: 3, CTX_BC: 1})
+        profile = TransitionProfile("rec9", {CTX_AB: 3, CTX_BC: 1})
         vector = compress(profile, two_context_table)
         assert vector.recording_id == "rec9"
         assert vector.meta["total_transitions"] == 4
@@ -93,21 +93,21 @@ class TestCompress:
         assert vector.meta["created_from"] == str(profile.content_hash())
 
     def test_permutation_invariance(self, two_context_table):
-        forward = TransitionProfile.from_counts("r", {CTX_AB: 3, CTX_BC: 1})
-        backward = TransitionProfile.from_counts("r", {CTX_BC: 1, CTX_AB: 3})
+        forward = TransitionProfile("r", {CTX_AB: 3, CTX_BC: 1})
+        backward = TransitionProfile("r", {CTX_BC: 1, CTX_AB: 3})
         a = compress(forward, two_context_table)
         b = compress(backward, two_context_table)
         assert np.array_equal(a.values, b.values)
 
     def test_linearity_over_disjoint_union(self, small_table):
-        contexts = [make_context(f"t{i}", f"P{i}", f"u{i}") for i in range(6)]
+        contexts = [PathContext(f"t{i}", f"P{i}", f"u{i}") for i in range(6)]
         counts_a = {contexts[i]: i + 1 for i in range(3)}
         counts_b = {contexts[i]: 2 * i + 1 for i in range(3, 6)}
         merged = dict(counts_a)
         merged.update(counts_b)
-        va = compress(TransitionProfile.from_counts("a", counts_a), small_table, normalize=False)
-        vb = compress(TransitionProfile.from_counts("b", counts_b), small_table, normalize=False)
-        vm = compress(TransitionProfile.from_counts("m", merged), small_table, normalize=False)
+        va = compress(TransitionProfile("a", counts_a), small_table, normalize=False)
+        vb = compress(TransitionProfile("b", counts_b), small_table, normalize=False)
+        vm = compress(TransitionProfile("m", merged), small_table, normalize=False)
         n_a = sum(counts_a.values())
         n_b = sum(counts_b.values())
         expected = (n_a * va.values + n_b * vb.values) / (n_a + n_b)
@@ -116,14 +116,14 @@ class TestCompress:
 
 class TestEyeVectorJson:
     def test_schema(self, two_context_table):
-        vector = compress(TransitionProfile.from_counts("r", {CTX_AB: 1}), two_context_table)
+        vector = compress(TransitionProfile("r", {CTX_AB: 1}), two_context_table)
         data = json.loads(vector.to_json())
         assert list(data) == ["recording_id", "dim", "normalized", "meta", "values"]
         assert data["dim"] == 6
         assert len(data["values"]) == 6
 
     def test_round_trip_is_lossless(self, two_context_table):
-        profile = TransitionProfile.from_counts("r", {CTX_AB: 3, CTX_BC: 2})
+        profile = TransitionProfile("r", {CTX_AB: 3, CTX_BC: 2})
         vector = compress(profile, two_context_table)
         text = vector.to_json()
         back = EyeVector.from_json(text)
@@ -131,7 +131,7 @@ class TestEyeVectorJson:
         assert back.to_json() == text
 
     def test_file_round_trip(self, tmp_path, two_context_table):
-        vector = compress(TransitionProfile.from_counts("r", {CTX_AB: 1}), two_context_table)
+        vector = compress(TransitionProfile("r", {CTX_AB: 1}), two_context_table)
         path = tmp_path / "v.json"
         path.write_text(vector.to_json(), encoding="utf-8")
         assert read_eye_vector(path).to_json() == vector.to_json()

@@ -16,7 +16,7 @@ from eye2vec.embeddings import (
     lookup,
 )
 from eye2vec.errors import FormatError
-from eye2vec.pathctx import make_context
+from eye2vec.pathctx import PathContext
 
 
 def write_table(tmp_path, text, name="emb.tsv"):
@@ -266,6 +266,25 @@ class TestFallbackMemo:
         assert first == second
 
 
+class TestEntriesDict:
+    def test_caller_dict_keeps_its_objects(self):
+        row = [1.0, 0.0]
+        given = {"tok:a": row}
+        table = EmbeddingTable(dim=2, entries=given)
+        assert table.entries is not given
+        assert given == {"tok:a": [1.0, 0.0]} and given["tok:a"] is row
+        assert isinstance(table.entries["tok:a"], np.ndarray)
+
+    def test_replace_gives_an_independent_dict(self):
+        table = EmbeddingTable(dim=2, entries={"tok:a": [1.0, 0.0]})
+        other = dataclasses.replace(table, fallback_seed=7)
+        assert other.entries is not table.entries
+        assert other.entries["tok:a"] is table.entries["tok:a"]
+        table.entries["tok:b"] = np.array([1.0, 2.0, 3.0])
+        assert list(other.entries) == ["tok:a"]
+        assert lookup(other, "tok:b").tobytes() == fallback_vector("tok:b", 2, 7).tobytes()
+
+
 class TestContextVector:
     def test_concatenation_of_stored_vectors(self, tmp_path):
         path = write_table(
@@ -273,18 +292,18 @@ class TestContextVector:
             "eye2vec-embeddings v1 dim=2\ntok:a\t1 0\npath:P\t0 1\ntok:b\t1 0\n",
         )
         table = load_table(path)
-        ctx = make_context("a", "P", "b")
+        ctx = PathContext("a", "P", "b")
         assert np.array_equal(context_vector(table, ctx), [1, 0, 0, 1, 1, 0])
 
     def test_shared_source_token_shares_prefix(self, small_table):
-        first = context_vector(small_table, make_context("a", "P1", "b"))
-        second = context_vector(small_table, make_context("a", "P2", "c"))
+        first = context_vector(small_table, PathContext("a", "P1", "b"))
+        second = context_vector(small_table, PathContext("a", "P2", "c"))
         dim = small_table.dim
         assert np.array_equal(first[:dim], second[:dim])
 
     def test_swapping_endpoints_permutes_blocks(self, small_table):
-        forward = context_vector(small_table, make_context("a", "P", "b"))
-        backward = context_vector(small_table, make_context("b", "P", "a"))
+        forward = context_vector(small_table, PathContext("a", "P", "b"))
+        backward = context_vector(small_table, PathContext("b", "P", "a"))
         dim = small_table.dim
         assert np.array_equal(forward[:dim], backward[2 * dim :])
         assert np.array_equal(forward[2 * dim :], backward[:dim])

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -22,13 +24,14 @@ from eye2vec.gaze import (
 from eye2vec.linker import (
     _PAIR_MEMO_SIZE,
     LinkOptions,
+    MappedFixation,
     TransitionProfile,
     _tree_facts,
     build_profile,
     map_fixation,
 )
 from eye2vec.minilang import _TREE_CACHE_SIZE, leaves, parse
-from eye2vec.pathctx import path_between
+from eye2vec.pathctx import PathContext, path_between
 from eye2vec.simulator import Strategy, simulate
 from oracles import (
     oracle_build_profile_per_transition,
@@ -83,7 +86,6 @@ class TestMapFixation:
     def test_drop_on_blank_line(self, root):
         mapped = map_fixation(Fixation(0, 100, GridPos(50, 1)), root, snap_tol_cols=0)
         assert mapped.mapping == "dropped"
-        assert mapped.drop_reason == "no-leaf"
         assert mapped.leaf is None
 
     def test_snap_tolerance_exceeded(self, root):
@@ -99,6 +101,14 @@ class TestMapFixation:
         mapped = map_fixation(Fixation(0, 100, GridPos(1, 23)), root, snap_tol_cols=3)
         assert mapped.mapping == "snapped"
         assert mapped.leaf.text == "a"
+
+    @pytest.mark.parametrize("leaf,distance,mapping", [
+        (None, 0, "dropped"), ("leaf", 0, "hit"), ("leaf", 2, "snapped"),
+    ])
+    def test_mapping_derives_from_leaf_and_distance(self, root, leaf, distance, mapping):
+        leaf = leaf_by_text(root, "count") if leaf else None
+        fixation = Fixation(0, 100, GridPos(1, 1))
+        assert MappedFixation(fixation, leaf, distance).mapping == mapping
 
     def test_pixel_fixation_rejected(self, root):
         with pytest.raises(TypeError):
@@ -122,10 +132,9 @@ class TestBuildProfile:
         ab = path_between(root, a, b)
         ba = path_between(root, b, a)
         assert profile.total_transitions == 3
-        assert profile.entries[ab].count == 2
-        assert profile.entries[ba].count == 1
-        assert profile.entries[ab].ratio == pytest.approx(2 / 3, abs=1e-12)
-        assert profile.entries[ba].ratio == pytest.approx(1 / 3, abs=1e-12)
+        assert profile.entries == {ab: 2, ba: 1}
+        ratios = {e["context"]: e["ratio"] for e in profile.to_json_dict()["entries"]}
+        assert ratios == {ab.context_string: 2 / 3, ba.context_string: 1 / 3}
 
     def test_self_transition_dropped_without_breaking_chain(self, root):
         a = leaf_by_text(root, "count")
@@ -133,8 +142,8 @@ class TestBuildProfile:
         profile = build_profile(recording_over([a, a, b]), root)
         ab = path_between(root, a, b)
         assert profile.total_transitions == 1
-        assert profile.entries[ab].count == 1
-        assert profile.entries[ab].ratio == 1.0
+        assert profile.entries == {ab: 1}
+        assert profile.to_json_dict()["entries"][0]["ratio"] == 1.0
 
     def test_self_transition_kept_mode(self, root):
         a = leaf_by_text(root, "count")
@@ -154,9 +163,7 @@ class TestBuildProfile:
         doubled_sequence = [leaf for leaf in sequence for _ in range(2)]
         doubled = build_profile(recording_over(doubled_sequence), root)
         assert base.total_transitions == doubled.total_transitions
-        assert {k: v.ratio for k, v in base.entries.items()} == {
-            k: v.ratio for k, v in doubled.entries.items()
-        }
+        assert base.to_json_dict()["entries"] == doubled.to_json_dict()["entries"]
 
     def test_direction_sensitivity(self, root):
         a = leaf_by_text(root, "count")
@@ -209,23 +216,73 @@ class TestProfileInvariants:
         )
         profile = build_profile(recording, accumulator_root, options)
         if profile.total_transitions:
-            assert abs(sum(e.ratio for e in profile.entries.values()) - 1) < 1e-9
+            ratios = [e["ratio"] for e in profile.to_json_dict()["entries"]]
+            assert abs(sum(ratios) - 1) < 1e-9
         oracle_counts, oracle_total = oracle_transition_counts(
             recording, accumulator_root, options
         )
         assert profile.total_transitions == oracle_total
-        assert {c.context_string: e.count for c, e in profile.entries.items()} == oracle_counts
+        assert {c.context_string: n for c, n in profile.entries.items()} == oracle_counts
 
     def test_invalid_profile_construction_rejected(self, root):
         a = leaf_by_text(root, "count")
         b = leaf_by_text(root, "other")
-        ctx = path_between(root, a, b)
-        from eye2vec.linker import ProfileEntry
+        ab, ba = path_between(root, a, b), path_between(root, b, a)
+        for bad in (0, -1, True, False, 2.0, 0.5, "2", None):
+            with pytest.raises(ValueError, match="positive integer"):
+                TransitionProfile("r", {ab: 2, ba: bad})
 
-        with pytest.raises(ValueError):
-            TransitionProfile("r", {ctx: ProfileEntry(2, 1.0)}, 3)
-        with pytest.raises(ValueError):
-            TransitionProfile("r", {ctx: ProfileEntry(2, 0.5)}, 2)
+
+# any text, and text made of the characters that render a context
+_TEXT = st.one_of(st.text(max_size=6), st.text(st.sampled_from(", ↑↓a"), max_size=6))
+_COUNTS = st.lists(
+    st.tuples(st.builds(PathContext, _TEXT, _TEXT, _TEXT), st.integers(1, 50)),
+    unique_by=lambda kv: kv[0],
+    max_size=8,
+)
+
+
+class TestProfileValue:
+    @settings(max_examples=100, deadline=None)
+    @given(counts=_COUNTS, data=st.data())
+    def test_same_bytes_whatever_order_the_counts_come_in(self, counts, data, small_table):
+        shuffled = data.draw(st.permutations(counts), label="shuffled")
+        first, second = TransitionProfile("r", dict(counts)), TransitionProfile("r", dict(shuffled))
+        assert list(first.entries.items()) == list(second.entries.items())
+        strings = [c.context_string for c in first.entries]
+        assert strings == sorted(c.context_string for c, _ in counts)
+        assert first.total_transitions == sum(n for _, n in counts)
+        assert first.to_json() == second.to_json()
+        assert first.content_hash() == second.content_hash()
+        if counts:
+            assert (compress(first, small_table, normalize=False).values.tobytes()
+                    == compress(second, small_table, normalize=False).values.tobytes())
+
+    def test_contexts_that_render_one_string_have_one_order(self, small_table):
+        x, y = PathContext("x", "P", "y,P,z"), PathContext("x,P,y", "P", "z")
+        assert x != y and x.context_string == y.context_string
+        c = PathContext("a", "Q", "b")
+        first = TransitionProfile("r", {x: 1, y: 2, c: 3})
+        second = TransitionProfile("r", {y: 2, x: 1, c: 3})
+        assert list(first.entries) == list(second.entries) == [c, x, y]
+        assert first.content_hash() == second.content_hash()
+        assert (compress(first, small_table, normalize=False).values.tobytes()
+                == compress(second, small_table, normalize=False).values.tobytes())
+
+    def test_fields_cannot_be_assigned(self):
+        profile = TransitionProfile("r", {PathContext("a", "P", "b"): 2})
+        for name, value in (("recording_id", "s"), ("entries", {}), ("total_transitions", 3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(profile, name, value)
+
+    def test_pickle_round_trip(self, accumulator_root):
+        recording = simulate(accumulator_root, Strategy("defuse", jitter_cols=1, seed=3), 40)
+        profile = build_profile(recording, accumulator_root)
+        back = pickle.loads(pickle.dumps(profile))
+        assert back == profile
+        assert list(back.entries) == list(profile.entries)
+        assert back.to_json() == profile.to_json()
+        assert back.content_hash() == profile.content_hash()
 
 
 class TestProfileJson:
@@ -256,10 +313,10 @@ class TestProfileJson:
         b = leaf_by_text(root, "other")
         ab = path_between(root, a, b)
         ba = path_between(root, b, a)
-        first = TransitionProfile.from_counts("r", {ab: 2, ba: 1})
-        second = TransitionProfile.from_counts("r", {ba: 1, ab: 2})
+        first = TransitionProfile("r", {ab: 2, ba: 1})
+        second = TransitionProfile("r", {ba: 1, ab: 2})
         assert first.content_hash() == second.content_hash()
-        different = TransitionProfile.from_counts("r", {ab: 1, ba: 2})
+        different = TransitionProfile("r", {ab: 1, ba: 2})
         assert first.content_hash() != different.content_hash()
 
 
@@ -337,8 +394,8 @@ class TestAgainstOracle:
             got = map_fixation(fixation, root, tol)
             want = oracle_map_fixation(fixation, root, tol)
             # leaves compare by identity
-            assert (got.leaf, got.mapping, got.snap_distance_cols, got.drop_reason) == (
-                want.leaf, want.mapping, want.snap_distance_cols, want.drop_reason
+            assert (got.leaf, got.mapping, got.snap_distance_cols) == (
+                want.leaf, want.mapping, want.snap_distance_cols
             )
 
     @settings(max_examples=100, deadline=None)
@@ -356,9 +413,9 @@ class TestAgainstOracle:
         profile = build_profile(recording, root, options)
         oracle_counts, oracle_total = oracle_transition_counts(recording, root, options)
         assert profile.total_transitions == oracle_total
-        assert {c.context_string: e.count for c, e in profile.entries.items()} == oracle_counts
-        # contexts enter the profile in the order of their first transition
-        assert [c.context_string for c in profile.entries] == list(oracle_counts)
+        assert {c.context_string: n for c, n in profile.entries.items()} == oracle_counts
+        # contexts are stored in context-string order
+        assert [c.context_string for c in profile.entries] == sorted(oracle_counts)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -420,7 +477,7 @@ class TestAgainstOracle:
         profile = _assert_same_as_per_transition(recording, root, options, small_table)
         assign = path_between(root, a1, b1)
         assert path_between(root, a2, b2) == assign
-        assert profile.entries[assign].count == 3
+        assert profile.entries[assign] == 3
         assert path_between(root, a3, b3) in profile.entries
 
 
@@ -458,8 +515,8 @@ class TestMemoizedTrees:
         for fixation in recording.fixations:
             got = map_fixation(fixation, parse(source), tol)
             want = oracle_map_fixation(fixation, root, tol)
-            assert (got.leaf, got.mapping, got.snap_distance_cols, got.drop_reason) == (
-                want.leaf, want.mapping, want.snap_distance_cols, want.drop_reason
+            assert (got.leaf, got.mapping, got.snap_distance_cols) == (
+                want.leaf, want.mapping, want.snap_distance_cols
             )
 
     def test_tree_facts_cache_stays_bounded(self):
@@ -495,9 +552,12 @@ class TestMemoizedTrees:
         # another recording, other options, the same tree read back from parse
         options = LinkOptions(self_transitions="keep", snap_tol_cols=0)
         second = build_profile(recording_over([b, a, b, b]), parse(source), options)
-        (ab, bb), (ba, ab_again, bb_again) = list(first.entries), list(second.entries)
-        assert ab_again is ab and bb_again is bb
-        assert ba is not ab and ba == path_between(root, b, a)
+        firsts = {c.context_string: c for c in first.entries}
+        seconds = {c.context_string: c for c in second.entries}
+        assert len(firsts) == 2 and len(seconds) == 3
+        assert all(seconds[key] is context for key, context in firsts.items())
+        ab = firsts[path_between(root, a, b).context_string]
+        assert seconds[path_between(root, b, a).context_string] is not ab
         assert _tree_facts(root)[3][(a, b)] is ab
 
     def test_pair_memo_stays_bounded_and_later_profiles_match_oracle(self):

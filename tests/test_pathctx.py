@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from eye2vec.errors import NotALeaf, SameLeaf
 from eye2vec.hashing import fnv1a64
 from eye2vec.minilang import leaves, parse
-from eye2vec.pathctx import all_path_contexts, path_between
+from eye2vec.pathctx import PathContext, all_path_contexts, path_between
 from oracles import oracle_context_string, oracle_parents
 from progen import generate_program
 
@@ -35,6 +35,22 @@ class TestFnv1a64:
                     assert seen[ctx.hash] == ctx.context_string
                 seen[ctx.hash] = ctx.context_string
         assert len(seen) == len(set(seen.values()))
+
+
+# any text, and text made of the characters that render a context
+_CONTEXT_TEXT = st.one_of(st.text(max_size=8), st.text(st.sampled_from(", ↑↓a"), max_size=8))
+
+
+@given(source=_CONTEXT_TEXT, path=_CONTEXT_TEXT, target=_CONTEXT_TEXT)
+def test_context_hashes_its_own_string(source, path, target):
+    ctx = PathContext(source, path, target)
+    assert ctx.context_string == f"{source},{path},{target}"
+    assert ctx.hash == fnv1a64(ctx.context_string)
+
+
+def test_context_hash_is_not_an_argument():
+    with pytest.raises(TypeError):
+        PathContext("a", "P", "b", 5)
 
 
 class TestPathBetween:
