@@ -9,7 +9,7 @@ import numpy as np
 import eye2vec as e2v
 from eye2vec.data import sample_source
 
-# 1. Parse a program; every token and node carries an exact line/column span.
+# 1. Parse a program; every leaf and node carries an exact line/column span.
 source = sample_source("accumulator")
 root = e2v.parse(source)
 leaf_list = e2v.leaves(root)

@@ -60,10 +60,8 @@ from .minilang import (
     LeafToken,
     SourceSpan,
     Token,
-    ast_equal,
     leaves,
     parse,
-    pretty_print,
     tokenize,
 )
 from .pathctx import PathContext, all_path_contexts, path_between
@@ -107,7 +105,6 @@ __all__ = [
     "TransitionProfile",
     "ZeroVectorError",
     "all_path_contexts",
-    "ast_equal",
     "build_profile",
     "compress",
     "context_vector",
@@ -125,7 +122,6 @@ __all__ = [
     "nearest_centroid_predict",
     "parse",
     "path_between",
-    "pretty_print",
     "read_eye_vector",
     "read_fixations",
     "read_labels",

@@ -524,138 +524,3 @@ class _Parser:
             self._expect(")")
             return inner
         self._fail("expression")
-
-
-# pretty printing ------------------------------------------------------
-
-
-def pretty_print(node: AstNode) -> str:
-    """Render a parser-produced tree back to source text.
-
-    Reparsing the output yields a structurally identical tree (labels and
-    leaf texts; spans will differ), as long as the output nests no deeper
-    than ``MAX_NESTING``. Composite subexpressions are emitted fully
-    parenthesized, which keeps the rendering independent of operator
-    precedence but adds one level of nesting per operator.
-
-    It recurses once per tree level. That suffices for every tree whose
-    output can reparse, since such output nests at most ``MAX_NESTING``
-    deep; a far deeper tree, such as the left spine of a long flat sum, may
-    raise ``RecursionError``.
-    """
-    if node.label != "Program":
-        raise ValueError("pretty_print expects a Program root")
-    return "".join(_print_stmt(child, 0) for child in node.children)
-
-
-def _indent(depth: int) -> str:
-    return "    " * depth
-
-
-def _print_stmt(item: Child, depth: int) -> str:
-    pad = _indent(depth)
-    if isinstance(item, LeafToken):
-        raise ValueError("a leaf is not a statement")
-    label = item.label
-    ch = item.children
-    if label == "ClassDecl":
-        head = f"{pad}class {ch[0].text} {{\n"
-        body = "".join(_print_stmt(m, depth + 1) for m in ch[1:])
-        return head + body + f"{pad}}}\n"
-    if label == "FieldDecl" or label == "VarDecl":
-        text = f"{pad}{_print_expr(ch[0])} {ch[1].text}"
-        if len(ch) == 3:
-            text += f" = {_print_expr(ch[2])}"
-        return text + ";\n"
-    if label == "MethodDecl":
-        params = ", ".join(_print_expr(p) for p in ch[2:-1])
-        head = f"{pad}{_print_expr(ch[0])} {ch[1].text}({params}) "
-        return head + _print_block(ch[-1], depth) + "\n"
-    if label == "Block":
-        return pad + _print_block(item, depth) + "\n"
-    if label == "If":
-        text = f"{pad}if ({_print_expr(ch[0])})\n" + _print_stmt(ch[1], depth + 1)
-        if len(ch) == 3:
-            text += f"{pad}else\n" + _print_stmt(ch[2], depth + 1)
-        return text
-    if label == "While":
-        return f"{pad}while ({_print_expr(ch[0])})\n" + _print_stmt(ch[1], depth + 1)
-    if label == "For":
-        init, cond, update, body = _split_for_children(ch)
-        init_text = _print_stmt(init, 0).strip() if init is not None else ";"
-        cond_text = f" {_print_expr(cond)}" if cond is not None else ""
-        update_text = f" {_print_expr(update)}" if update is not None else ""
-        return f"{pad}for ({init_text}{cond_text};{update_text})\n" + _print_stmt(body, depth + 1)
-    if label == "Return":
-        return f"{pad}return {_print_expr(ch[0])};\n" if ch else f"{pad}return;\n"
-    if label == "ExprStmt":
-        return f"{pad}{_print_expr(ch[0])};\n"
-    raise ValueError(f"not a statement label: {label}")
-
-
-def _split_for_children(ch: list[Child]):
-    body = ch[-1]
-    head = list(ch[:-1])
-    init = None
-    if head and isinstance(head[0], AstNode) and head[0].label in ("VarDecl", "ExprStmt"):
-        init = head.pop(0)
-    cond = head[0] if head else None
-    update = head[1] if len(head) > 1 else None
-    return init, cond, update, body
-
-
-def _print_block(block: AstNode, depth: int) -> str:
-    if not block.children:
-        return "{ }"
-    inner = "".join(_print_stmt(s, depth + 1) for s in block.children)
-    return "{\n" + inner + _indent(depth) + "}"
-
-
-def _print_expr(item: Child) -> str:
-    if isinstance(item, LeafToken):
-        return item.text
-    label = item.label
-    ch = item.children
-    if label == "Name" or label == "TypeRef":
-        return ch[0].text
-    if label == "Param":
-        return f"{_print_expr(ch[0])} {ch[1].text}"
-    if label == "Assign":
-        return f"({_print_expr(ch[0])} = {_print_expr(ch[1])})"
-    if label.startswith("BinExpr:"):
-        op = label[len("BinExpr:") :]
-        return f"({_print_expr(ch[0])} {op} {_print_expr(ch[1])})"
-    if label.startswith("Unary:"):
-        op = label[len("Unary:") :]
-        return f"{op}({_print_expr(ch[0])})"
-    if label == "Call":
-        args = ", ".join(_print_expr(a) for a in ch[1:])
-        return f"{_print_expr(ch[0])}({args})"
-    if label == "FieldAccess":
-        return f"{_print_expr(ch[0])}.{ch[1].text}"
-    if label == "Index":
-        return f"{_print_expr(ch[0])}[{_print_expr(ch[1])}]"
-    raise ValueError(f"not an expression label: {label}")
-
-
-def ast_equal(a: Child, b: Child) -> bool:
-    """Structural equality: labels, arity, and leaf kind/text. Spans ignored.
-
-    One walk over a stack of node pairs, so trees of any depth compare.
-    """
-    pairs = [(a, b)]
-    while pairs:
-        x, y = pairs.pop()
-        if isinstance(x, LeafToken) or isinstance(y, LeafToken):
-            if not (
-                isinstance(x, LeafToken)
-                and isinstance(y, LeafToken)
-                and x.kind == y.kind
-                and x.text == y.text
-            ):
-                return False
-        elif x.label != y.label or len(x.children) != len(y.children):
-            return False
-        else:
-            pairs += zip(x.children, y.children)
-    return True

@@ -40,3 +40,9 @@ def test_fresh_copies_are_collected():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert result.stdout.strip() == "0"
+
+
+def test_all_names_resolve_once():
+    assert len(eye2vec.__all__) == len(set(eye2vec.__all__))
+    missing = [name for name in eye2vec.__all__ if not hasattr(eye2vec, name)]
+    assert missing == []
