@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis, gaze, linker, simulator
 from .compressor import EyeVector, compress, read_eye_vector
 from .embeddings import DEFAULT_DIM, DEFAULT_SEED, MAX_DIM, EmbeddingTable, load_table
-from .errors import Eye2vecError, FormatError
+from .errors import Eye2vecError, FormatError, _read_input
 from .minilang import parse
 from .pathctx import DEFAULT_MAX_LENGTH, DEFAULT_MAX_WIDTH, _iter_path_contexts
 
@@ -152,7 +152,7 @@ def _link_options(args: argparse.Namespace) -> linker.LinkOptions:
 
 
 def _build_profile(args: argparse.Namespace) -> linker.TransitionProfile:
-    root = parse(Path(args.src).read_text(encoding="utf-8"))
+    root = parse(_read_input(args.src))
     recording = gaze.read_fixations(args.fixations, mode="grid")
     return linker.build_profile(recording, root, _link_options(args))
 
@@ -168,7 +168,7 @@ def _embedding_table(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def _cmd_paths(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    root = parse(Path(args.src).read_text(encoding="utf-8"))
+    root = parse(_read_input(args.src))
     # argparse has checked the caps; a context is written as soon as it is made
     contexts = _iter_path_contexts(root, args.max_length, args.max_width)
     _emit_lines((c.context_string + "\n" for c in contexts), args.out)
@@ -255,7 +255,7 @@ def _cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     source_path = Path(args.src)
-    root = parse(source_path.read_text(encoding="utf-8"))
+    root = parse(_read_input(source_path))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

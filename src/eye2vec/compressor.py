@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingTable, context_vector
-from .errors import EmptyProfileError, FormatError, ZeroVectorError
+from .errors import EmptyProfileError, FormatError, ZeroVectorError, _read_input
 from .linker import TransitionProfile
 
 
@@ -82,7 +82,7 @@ class EyeVector:
 
 
 def read_eye_vector(path: str | Path) -> EyeVector:
-    return EyeVector.from_json(Path(path).read_text(encoding="utf-8"))
+    return EyeVector.from_json(_read_input(path))
 
 
 def compress(

@@ -8,23 +8,26 @@ pretrained export. Keys are namespaced ``tok:<text>`` and
 An ``EmbeddingTable`` is frozen: its ``dim`` (1 to ``MAX_DIM``) and
 ``fallback_seed`` are checked once, where it is made, and cannot be
 reassigned; ``dataclasses.replace`` makes a new table. Each table keeps
-its entries in a dict of its own, never the one it was given. A fallback
-vector's splitmix64 stream is generated as one ``np.uint64`` array, and each
-table computes it once per absent key: ``lookup`` keeps it in the table's
-private memo, keyed by the key alone. The memo costs one ``dim``-float
-vector per distinct absent key for the table's lifetime; it never enters
-``entries``.
+its entries in a dict of its own, never the one it was given, and shows
+them only as a read-only ``entries`` mapping, so every entry is one that
+passed the checks. A fallback vector's splitmix64 stream is generated as
+one ``np.uint64`` array, and each table computes it once per absent key:
+``lookup`` keeps it in the table's private memo, keyed by the key alone.
+The memo costs one ``dim``-float vector per distinct absent key for the
+table's lifetime; it never enters ``entries``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DegenerateVector, FormatError
+from .errors import DegenerateVector, FormatError, _read_input
 from .hashing import fnv1a64, splitmix64_block
 from .pathctx import PathContext
 
@@ -47,7 +50,7 @@ def check_dim(dim: int) -> None:
 @dataclass(frozen=True)
 class EmbeddingTable:
     dim: int
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
+    entries: Mapping[str, np.ndarray] = field(default_factory=dict)
     fallback_seed: int = DEFAULT_SEED
     _fallbacks: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -63,13 +66,17 @@ class EmbeddingTable:
                 raise ValueError(f"entry {key!r} is not a finite vector of length {self.dim}")
             arr.flags.writeable = False
             entries[key] = arr
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the table is made again from a dict.
+        return type(self), (self.dim, dict(self.entries), self.fallback_seed)
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
     """Load a TSV table: header line, then ``key<TAB>f1 f2 ... fd`` rows, each
     ended by ``\\n`` only, so a key may hold any other line break."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = _read_input(path).split("\n")
     if not lines[-1]:
         lines.pop()  # a final line break ends the last row, it starts none
     if not lines or not lines[0].startswith(HEADER_PREFIX):

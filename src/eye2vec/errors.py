@@ -1,4 +1,16 @@
-"""Exception types shared across the eye2vec pipeline."""
+"""Exception types shared across the eye2vec pipeline, and the one reader
+of input files, which bounds their size."""
+
+from __future__ import annotations
+
+import os
+import stat
+
+# The most bytes any input file may hold: a source text, fixation CSV,
+# embedding table, labels TSV or eye-vector JSON. A regular file is refused
+# from its size before it is read; any other file, such as a pipe or a
+# device, is read no further than this.
+MAX_INPUT_BYTES = 256 * 2**20
 
 
 class Eye2vecError(Exception):
@@ -81,3 +93,26 @@ class InsufficientData(Eye2vecError):
 
 class NoIdentifiers(Eye2vecError):
     """Program has no declared identifier with a later occurrence."""
+
+
+def _read_input(path: str | os.PathLike, newline: str | None = None) -> str:
+    """The UTF-8 text of the file at ``path``, read once and decoded as
+    ``open(path, newline=newline)`` would: with ``None``, ``\r\n`` and ``\r``
+    become ``\n``; with ``""`` the text is left as it is.
+
+    Raises ``FormatError`` for a file of more than ``MAX_INPUT_BYTES``.
+    """
+    with open(path, "rb") as handle:
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            data = handle.read(MAX_INPUT_BYTES + 1)
+        elif info.st_size <= MAX_INPUT_BYTES:
+            data = handle.read()  # sized from the file: no limit-sized buffer
+        else:
+            data = None
+    if data is None or len(data) > MAX_INPUT_BYTES:
+        raise FormatError(1, f"{os.fspath(path)!r} holds more than {MAX_INPUT_BYTES} bytes")
+    text = data.decode("utf-8")
+    if newline is None and "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text

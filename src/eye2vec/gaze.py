@@ -20,13 +20,14 @@ and col columns with ``to_grid``'s own arithmetic, building no objects.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, OutOfViewport
+from .errors import FormatError, OutOfViewport, _read_input
 
 PIXEL_HEADER = ["timestamp_ms", "x_px", "y_px", "duration_ms"]
 GRID_HEADER = ["timestamp_ms", "line", "col", "duration_ms"]
@@ -246,12 +247,11 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
         raise ValueError(f"mode must be 'pixel' or 'grid', got {mode!r}")
     path = Path(path)
     expected_header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
+    reader = csv.reader(io.StringIO(_read_input(path, newline=""), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
     if not rows or rows[0] != expected_header:
         found = ",".join(rows[0]) if rows else "<empty file>"
         raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
@@ -304,7 +304,7 @@ def read_labels(path: str | Path) -> dict[str, str]:
     """Read a two-column ``recording_id<TAB>label`` TSV; rows end at ``\\n``
     only, so an id or label may hold any other line break."""
     labels: dict[str, str] = {}
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = _read_input(path).split("\n")
     if not lines[-1]:
         lines.pop()  # a final line break ends the last row, it starts none
     for row_no, line in enumerate(lines, start=1):

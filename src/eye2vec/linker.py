@@ -6,26 +6,18 @@ pair's path context is built and hashed once per call. A profile holds the
 count of each context; a context's ratio, its count over all transitions,
 keeps recordings of different lengths comparable.
 
-What the linker needs of a tree (each line's leaves, every node's parent
-and depth) is computed on the first call over that tree and kept for the
-last ``_TREE_CACHE_SIZE`` distinct trees, keyed by the tree itself (trees
-hash by identity). Trees from ``parse`` are memoized and shared, so
-a request over a program seen before walks no tree at all. A tree must not
-be mutated once it has been linked.
-
-Beside those facts each cached tree keeps the path context of every leaf
-pair linked over it so far, self transitions included, so a pair that
-recurs across recordings is built and hashed once per tree. A context does
-not depend on ``LinkOptions``, so the pair alone is the key. The memo holds
-at most ``_PAIR_MEMO_SIZE`` (4096) pairs per tree; once full, new pairs are
-built as on a miss and not stored. At about 415 bytes a pair, the worst
-case over the 16 cached trees is about 27 MB. It goes with its tree's
-cache entry, so ``_tree_facts.cache_clear()`` frees it.
+The linker reads each tree's lines, parents and depths from
+``minilang.tree_facts``, and keeps in that record's pair memo the path
+context of every leaf pair linked over the tree, self transitions included,
+so a pair that recurs across recordings is built and hashed once per tree.
+A context does not depend on ``LinkOptions``, so the pair alone is the key.
+The memo holds at most ``_PAIR_MEMO_SIZE`` (4096) pairs per tree; once
+full, new pairs are built as on a miss and not stored. At about 415 bytes a
+pair, the worst case over the 16 kept trees is about 27 MB.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -33,7 +25,7 @@ from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
-from .minilang import _TREE_CACHE_SIZE, AstNode, Child, LeafToken, leaves, parents_and_depths
+from .minilang import _LineIndex, AstNode, Child, LeafToken, tree_facts
 from .pathctx import PathContext, context_between
 
 DEFAULT_SNAP_TOL_COLS = 3
@@ -152,40 +144,8 @@ def map_fixation(
     if not isinstance(pos, GridPos):
         raise TypeError(_NOT_GRID)
     return MappedFixation(
-        fixation, *_nearest_leaf(pos.line, pos.col, _tree_facts(root)[0], snap_tol_cols)
+        fixation, *_nearest_leaf(pos.line, pos.col, tree_facts(root).lines, snap_tol_cols)
     )
-
-
-_LineIndex = dict[int, tuple[list[int], list[LeafToken]]]
-_PairMemo = dict[tuple[LeafToken, LeafToken], PathContext]
-
-
-def _line_index(root: AstNode) -> _LineIndex:
-    """Each line's start columns and leaves, in parse order.
-
-    A leaf of a parsed tree lies on one line and overlaps no other leaf, and
-    the parser makes a line's leaves in column order, so each line comes
-    out sorted by start column.
-    """
-    index: _LineIndex = {}
-    for leaf in leaves(root):
-        cols, row = index.setdefault(leaf.span.start_line, ([], []))
-        cols.append(leaf.span.start_col)
-        row.append(leaf)
-    return index
-
-
-@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
-def _tree_facts(
-    root: AstNode,
-) -> tuple[_LineIndex, dict[Child, AstNode], dict[AstNode, int], _PairMemo]:
-    """``_line_index`` and ``parents_and_depths`` of ``root``, once per tree,
-    and the tree's pair memo, empty until ``build_profile`` fills it.
-
-    The cache holds the tree, so its identity is not reused while the entry
-    lives; callers only read what it returns, except the memo.
-    """
-    return (_line_index(root), *parents_and_depths(root), {})
 
 
 def _nearest_leaf(
@@ -243,7 +203,8 @@ def build_profile(
     if recording.mode != "grid" and recording.columns[0]:
         raise TypeError(_NOT_GRID)
     _, lines, cols, _ = recording.columns
-    index, parents, depths, memo = _tree_facts(root)
+    facts = tree_facts(root)
+    index, memo = facts.lines, facts.pair_memo
     keep_self = options.self_transitions == "keep"
     # leaves hash by identity, so a pair key never compares leaf text
     pairs: dict[tuple[LeafToken, LeafToken], int] = {}
@@ -266,9 +227,9 @@ def build_profile(
         if context is None:
             a, b = pair
             if a is b:
-                context = _self_transition_context(a, parents)
+                context = _self_transition_context(a, facts.parents)
             else:
-                context = context_between(a, b, parents, depths)
+                context = context_between(a, b, facts.parents, facts.depths)
             if len(memo) < _PAIR_MEMO_SIZE:
                 memo[pair] = context
         counts[context] = counts.get(context, 0) + count

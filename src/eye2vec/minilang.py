@@ -30,9 +30,14 @@ threads. ``parse.cache_info()`` reports hits and misses, and
 ``parse.cache_clear()`` drops the kept trees. A ``LexError`` or
 ``ParseError`` is not cached, so bad input raises on every call.
 
-Trees hold no parent links, so no tree is a reference cycle; parents and
-depths come from one ``parents_and_depths`` walk, which the linker keeps
-per tree.
+Trees hold no parent links, so no tree is a reference cycle. What the rest
+of the package reads of a tree comes from one walk in source order,
+``tree_facts``, whose record is kept beside ``parse``'s cache for the last
+``_TREE_CACHE_SIZE`` distinct trees, keyed by the tree itself (trees hash
+by identity), so a tree seen before is walked no more. The record also
+carries the linker's pair memo; ``tree_facts.cache_clear()`` frees both.
+It is kept off the tree, which it references, so that the tree stays
+acyclic. A tree must not be mutated once its facts are taken.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ MAX_NESTING = 64
 
 INT64_MAX = 2**63 - 1
 
-# How many trees ``parse`` keeps, and how many trees' facts the linker keeps.
+# How many trees ``parse`` keeps, and how many trees' facts ``tree_facts`` keeps.
 # Twice the eight programs of a perfbench run: an LRU cache read in turn over
 # one more program than it holds misses on every call.
 _TREE_CACHE_SIZE = 16
@@ -212,33 +217,60 @@ def parse(source_text: str) -> AstNode:
     return _Parser(_scan(source_text)).parse_program()
 
 
-def leaves(root: AstNode) -> list[LeafToken]:
-    """All leaves of ``root`` in source order."""
+# Each line's start columns and leaves, by line number.
+_LineIndex = dict[int, tuple[list[int], list[LeafToken]]]
+
+
+class TreeFacts(NamedTuple):
+    """What one walk of a tree yields. It is shared, so callers only read
+    it, except the linker, which fills ``pair_memo``."""
+
+    leaves: list[LeafToken]
+    parents: dict[Child, AstNode]
+    depths: dict[AstNode, int]
+    lines: _LineIndex
+    # The linker's path context of each leaf pair linked over the tree so far.
+    pair_memo: dict[tuple[LeafToken, LeafToken], object]
+
+
+@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
+def tree_facts(root: AstNode) -> TreeFacts:
+    """The facts of ``root`` from one walk in source order, once per tree.
+
+    ``parents`` maps every node and leaf but the root, ``depths`` every
+    inner node (root 0). ``lines`` holds each line's start columns and
+    leaves: a leaf of a parsed tree lies on one line and overlaps no other
+    leaf, and the parser makes a line's leaves in column order, so each line
+    comes out sorted by start column. ``pair_memo`` starts empty.
+
+    The cache holds the tree, so its identity is not reused while the entry
+    lives.
+    """
     found: list[LeafToken] = []
-    stack: list[Child] = root.children[::-1]
+    parents: dict[Child, AstNode] = {}
+    depths = {root: 0}
+    lines: _LineIndex = {}
+    stack: list[Child] = [root]
     while stack:
         item = stack.pop()
         if isinstance(item, LeafToken):
             found.append(item)
-        else:
-            stack += item.children[::-1]
-    return found
-
-
-def parents_and_depths(root: AstNode) -> tuple[dict[Child, AstNode], dict[AstNode, int]]:
-    """Every node's and leaf's parent, and every inner node's depth (root 0)."""
-    parents: dict[Child, AstNode] = {}
-    depths = {root: 0}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        depth = depths[node] + 1
-        for child in node.children:
-            parents[child] = node
+            cols, row = lines.setdefault(item.span.start_line, ([], []))
+            cols.append(item.span.start_col)
+            row.append(item)
+            continue
+        depth = depths[item] + 1
+        for child in item.children:
+            parents[child] = item
             if isinstance(child, AstNode):
                 depths[child] = depth
-                stack.append(child)
-    return parents, depths
+        stack += item.children[::-1]
+    return TreeFacts(found, parents, depths, lines, {})
+
+
+def leaves(root: AstNode) -> list[LeafToken]:
+    """All leaves of ``root`` in source order, as a new list on each call."""
+    return list(tree_facts(root).leaves)
 
 
 class _Parser:

@@ -5,7 +5,8 @@ hashes itself (FNV-1a over that string) when it is made. The encoding lists
 ancestor labels from the source leaf up to the lowest common ancestor
 (suffixed with an up arrow), the LCA label bare, and labels back down to
 the target leaf (prefixed with a down arrow). Trees hold no parent links:
-each call takes parents and depths from one ``parents_and_depths`` walk.
+every call reads the tree's leaves, parents and depths from
+``minilang.tree_facts``, which walks each tree once and keeps the record.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotALeaf, SameLeaf
 from .hashing import fnv1a64
-from .minilang import AstNode, Child, LeafToken, leaves, parents_and_depths
+from .minilang import AstNode, Child, LeafToken, tree_facts
 
 UP = "↑"
 DOWN = "↓"
@@ -45,26 +46,22 @@ class PathContext:
 
 
 def path_between(root: AstNode, a: LeafToken, b: LeafToken) -> PathContext:
-    """Context for the unique tree path from leaf ``a`` to leaf ``b``, from one
-    O(n) walk of the tree. For many pairs, ``all_path_contexts`` walks it
-    once per call, and ``linker.build_profile`` reads the tree's parents and
-    depths, and the contexts of pairs it has linked before, from the
-    linker's per-tree cache."""
-    parents, depths = parents_and_depths(root)
+    """Context for the unique tree path from leaf ``a`` to leaf ``b``."""
+    facts = tree_facts(root)
     for leaf in (a, b):
         if not isinstance(leaf, LeafToken):
             raise NotALeaf(f"{leaf!r} is not a leaf of the given tree")
-        if leaf not in parents:
+        if leaf not in facts.parents:
             raise NotALeaf(f"leaf {leaf.text!r} does not belong to the given tree")
     if a is b:
         raise SameLeaf(f"both endpoints are the same leaf {a.text!r}")
-    return context_between(a, b, parents, depths)
+    return context_between(a, b, facts.parents, facts.depths)
 
 
 def context_between(
     a: LeafToken, b: LeafToken, parents: dict[Child, AstNode], depths: dict[AstNode, int]
 ) -> PathContext:
-    """``path_between`` without its checks, given ``parents_and_depths`` of the tree.
+    """``path_between`` without its checks, given the tree's parents and depths.
 
     Found by lifting the deeper of the two leaves' parents until both are at
     equal depth, then both in lockstep until they meet at the LCA. The
@@ -106,8 +103,8 @@ def all_path_contexts(
 def _iter_path_contexts(root: AstNode, max_length: int, max_width: int) -> Iterator[PathContext]:
     """``all_path_contexts`` one context at a time, in the same order; the
     caller checks the caps."""
-    leaf_list = leaves(root)
-    parents, depths = parents_and_depths(root)
+    facts = tree_facts(root)
+    leaf_list, parents, depths = facts.leaves, facts.parents, facts.depths
     for i, source in enumerate(leaf_list):
         for j in range(i + 1, len(leaf_list)):
             if max_width and j - i > max_width:

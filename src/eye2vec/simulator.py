@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import NoIdentifiers
 from .gaze import Fixation, GridPos, Recording
 from .hashing import SplitMix64
-from .minilang import AstNode, Child, LeafToken, leaves, parents_and_depths
+from .minilang import AstNode, Child, LeafToken, tree_facts
 
 STRATEGY_NAMES = ("linear", "defuse")
 
@@ -50,24 +50,19 @@ def _declared_identifiers(
     all_leaves: list[LeafToken], parents: dict[Child, AstNode]
 ) -> list[tuple[LeafToken, list[LeafToken]]]:
     """Declaration-name leaves in ``all_leaves`` paired with later same-text identifiers."""
+    by_text: dict[str, list[LeafToken]] = {}
+    for leaf in all_leaves:
+        if leaf.kind == "Identifier":
+            by_text.setdefault(leaf.text, []).append(leaf)
     # A declaration's only Identifier leaf child is its name: an initializer
     # is an expression, where identifiers sit under a Name node.
-    declarations = [
-        leaf
-        for leaf in all_leaves
-        if leaf.kind == "Identifier" and parents[leaf].label in _DECL_LABELS
+    usable = [
+        (decl, same[i + 1 :])
+        for same in by_text.values()
+        for i, decl in enumerate(same[:-1])
+        if parents[decl].label in _DECL_LABELS
     ]
-    usable = []
-    for decl in declarations:
-        uses = [
-            leaf
-            for leaf in all_leaves
-            if leaf.kind == "Identifier"
-            and leaf.text == decl.text
-            and leaf.leaf_index > decl.leaf_index
-        ]
-        if uses:
-            usable.append((decl, uses))
+    usable.sort(key=lambda pair: pair[0].leaf_index)
     return usable
 
 
@@ -83,7 +78,8 @@ def simulate(
         raise ValueError("n_fixations must be >= 2")
     if n_fixations > MAX_FIXATIONS:
         raise ValueError(f"n_fixations must be at most {MAX_FIXATIONS}")
-    leaf_list = leaves(root)
+    facts = tree_facts(root)
+    leaf_list = facts.leaves
     if len(leaf_list) < 2:
         raise ValueError("program must have at least 2 leaves")
     stream = SplitMix64(strategy.seed)
@@ -93,7 +89,7 @@ def simulate(
         for i in range(n_fixations):
             targets.append(leaf_list[i % len(leaf_list)])
     else:
-        pairs = _declared_identifiers(leaf_list, parents_and_depths(root)[0])
+        pairs = _declared_identifiers(leaf_list, facts.parents)
         if not pairs:
             raise NoIdentifiers("no declared identifier is used again later")
         order = list(range(len(pairs)))

@@ -35,7 +35,6 @@ from eye2vec.linker import (
     LinkOptions,
     MappedFixation,
     TransitionProfile,
-    _line_index,
     _nearest_leaf,
     _self_transition_context,
 )
@@ -55,7 +54,7 @@ from eye2vec.minilang import (
     _cover,
     _fits_int64,
     leaves,
-    parents_and_depths,
+    tree_facts,
 )
 from eye2vec.pathctx import PathContext, context_between
 
@@ -174,8 +173,8 @@ def oracle_build_profile_per_transition(
 ) -> TransitionProfile:
     """``build_profile`` as one loop that builds a context per transition."""
     options = options or LinkOptions()
-    index = _line_index(root)
-    parents, depths = parents_and_depths(root)
+    facts = tree_facts(root)
+    index, parents, depths = facts.lines, facts.parents, facts.depths
     keep_self = options.self_transitions == "keep"
     counts: dict[PathContext, int] = {}
     previous: LeafToken | None = None

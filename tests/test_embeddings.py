@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -248,11 +250,23 @@ class TestFallbackMemo:
         assert after.tobytes() != before.tobytes()
         assert lookup(table, "tok:x") is before
 
-    def test_entry_added_later_wins_over_memo(self):
-        table = EmbeddingTable(dim=2, fallback_seed=3)
-        lookup(table, "tok:a")
-        table.entries["tok:a"] = np.array([3.0, 4.0])
-        assert np.array_equal(lookup(table, "tok:a"), [3.0, 4.0])
+    def test_entries_cannot_be_added_later(self):
+        table = EmbeddingTable(dim=2, entries={"tok:a": [1.0, 0.0]}, fallback_seed=3)
+        before = lookup(table, "tok:b")
+        with pytest.raises(TypeError):
+            table.entries["tok:b"] = np.array([1.0, 2.0, 3.0])
+        assert list(table.entries) == ["tok:a"] and lookup(table, "tok:b") is before
+        other = dataclasses.replace(table, fallback_seed=7)
+        assert other.entries["tok:a"] is table.entries["tok:a"]
+        assert lookup(other, "tok:b").tobytes() == fallback_vector("tok:b", 2, 7).tobytes()
+
+    def test_table_survives_pickle_and_deepcopy(self):
+        table = EmbeddingTable(dim=2, entries={"tok:a": [1.0, 0.0]}, fallback_seed=3)
+        lookup(table, "tok:b")
+        for other in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert (other.dim, other.fallback_seed, list(other.entries)) == (2, 3, ["tok:a"])
+            assert other.entries["tok:a"].tolist() == [1.0, 0.0]
+            assert lookup(other, "tok:b").tobytes() == lookup(table, "tok:b").tobytes()
 
     def test_fallbacks_never_enter_entries(self, tmp_path):
         table = load_table(write_table(tmp_path, "eye2vec-embeddings v1 dim=2\ntok:a\t1 0\n"))
@@ -280,7 +294,6 @@ class TestEntriesDict:
         other = dataclasses.replace(table, fallback_seed=7)
         assert other.entries is not table.entries
         assert other.entries["tok:a"] is table.entries["tok:a"]
-        table.entries["tok:b"] = np.array([1.0, 2.0, 3.0])
         assert list(other.entries) == ["tok:a"]
         assert lookup(other, "tok:b").tobytes() == fallback_vector("tok:b", 2, 7).tobytes()
 

@@ -26,11 +26,10 @@ from eye2vec.linker import (
     LinkOptions,
     MappedFixation,
     TransitionProfile,
-    _tree_facts,
     build_profile,
     map_fixation,
 )
-from eye2vec.minilang import _TREE_CACHE_SIZE, leaves, parse
+from eye2vec.minilang import leaves, parse, tree_facts
 from eye2vec.pathctx import PathContext, path_between
 from eye2vec.simulator import Strategy, simulate
 from oracles import (
@@ -519,13 +518,6 @@ class TestMemoizedTrees:
                 want.leaf, want.mapping, want.snap_distance_cols
             )
 
-    def test_tree_facts_cache_stays_bounded(self):
-        fixation = Fixation(0, 200, GridPos(1, 1))
-        for i in range(_TREE_CACHE_SIZE + 5):
-            map_fixation(fixation, parse(f"class L{i} {{ }}"))
-        info = _tree_facts.cache_info()
-        assert info.currsize == info.maxsize == _TREE_CACHE_SIZE
-
     @settings(max_examples=60, deadline=None)
     @given(source=_sources(), data=st.data())
     def test_distinct_recordings_over_one_memoized_tree_match_oracle(self, source, data):
@@ -558,7 +550,7 @@ class TestMemoizedTrees:
         assert all(seconds[key] is context for key, context in firsts.items())
         ab = firsts[path_between(root, a, b).context_string]
         assert seconds[path_between(root, b, a).context_string] is not ab
-        assert _tree_facts(root)[3][(a, b)] is ab
+        assert tree_facts(root).pair_memo[(a, b)] is ab
 
     def test_pair_memo_stays_bounded_and_later_profiles_match_oracle(self):
         # enough generated classes that ordered leaf pairs outnumber the memo
@@ -567,7 +559,7 @@ class TestMemoizedTrees:
             source += generate_program(seed, max_leaves=60)
             lv, seed = leaves(parse(source)), seed + 1
         root = parse(source)
-        memo = _tree_facts(root)[3]
+        memo = tree_facts(root).pair_memo
         ordered = [x for a in lv for b in lv if a is not b for x in (a, b)]
         oracle_root = oracle_parse(source)
         # first every pair in one order, then again in reverse with self transitions
@@ -579,12 +571,3 @@ class TestMemoizedTrees:
             want = oracle_build_profile_per_transition(recording, oracle_root, options)
             assert build_profile(recording, root, options).to_json() == want.to_json()
             assert len(memo) == _PAIR_MEMO_SIZE
-
-    def test_pair_memo_goes_with_its_tree_cache_entry(self):
-        root = parse(sample_source("accumulator"))
-        build_profile(recording_over(leaves(root)[:6]), root)
-        memo = _tree_facts(root)[3]
-        assert memo
-        _tree_facts.cache_clear()
-        assert _tree_facts(root)[3] == {}
-        assert _tree_facts(root)[3] is not memo

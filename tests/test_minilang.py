@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from eye2vec.data import sample_source
 from eye2vec.errors import Eye2vecError, LexError, ParseError
 from eye2vec.cli import main
-from eye2vec.linker import _tree_facts, build_profile
+from eye2vec.gaze import Fixation, GridPos
+from eye2vec.linker import build_profile, map_fixation
 from eye2vec.minilang import (
     _TREE_CACHE_SIZE,
     MAX_NESTING,
@@ -17,10 +18,11 @@ from eye2vec.minilang import (
     LeafToken,
     SourceSpan,
     leaves,
-    parents_and_depths,
     parse,
     tokenize,
+    tree_facts,
 )
+from eye2vec.pathctx import all_path_contexts, path_between
 from eye2vec.simulator import Strategy, simulate
 from oracles import oracle_parents, oracle_parse, oracle_tokenize, span_contains
 from progen import generate_program
@@ -248,7 +250,7 @@ class TestParentsAndDepths:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            # parse and the linker keep trees; a tree of their own, dropped
+            # parse and tree_facts keep trees; a tree of their own, dropped
             # from both caches, must then go with its last reference
             parse.cache_clear()
             root = parse(sample_source("accumulator"))
@@ -256,7 +258,7 @@ class TestParentsAndDepths:
             build_profile(recording, root)
             refs = [weakref.ref(root), weakref.ref(leaves(root)[0])]
             parse.cache_clear()
-            _tree_facts.cache_clear()
+            tree_facts.cache_clear()
             del root
             assert [ref() for ref in refs] == [None, None]
         finally:
@@ -265,7 +267,8 @@ class TestParentsAndDepths:
 
     def test_field_with_initializer_tree(self):
         root = parse("class A { int x = 1; }")
-        parents, depths = parents_and_depths(root)
+        facts = tree_facts(root)
+        parents, depths = facts.parents, facts.depths
         (cls,) = root.children
         name, field = cls.children
         type_node, x, one = field.children
@@ -279,7 +282,8 @@ class TestParentsAndDepths:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     def test_matches_oracle_parents(self, seed):
         root = parse(generate_program(seed))
-        parents, depths = parents_and_depths(root)
+        facts = tree_facts(root)
+        parents, depths = facts.parents, facts.depths
         expected = oracle_parents(root)
         assert {id(child): node for child, node in parents.items()} == expected
         for node, depth in depths.items():
@@ -289,6 +293,48 @@ class TestParentsAndDepths:
                 chain += 1
             assert node is root and depth == chain
         assert len(depths) == 1 + sum(isinstance(child, AstNode) for child in parents)
+
+
+class TestTreeFacts:
+    def test_cache_stays_bounded(self):
+        fixation = Fixation(0, 200, GridPos(1, 1))
+        for i in range(_TREE_CACHE_SIZE + 5):
+            map_fixation(fixation, parse(f"class L{i} {{ }}"))
+        info = tree_facts.cache_info()
+        assert info.currsize == info.maxsize == _TREE_CACHE_SIZE
+
+    def test_pair_memo_goes_with_its_tree_cache_entry(self):
+        root = parse(sample_source("accumulator"))
+        build_profile(simulate(root, Strategy("linear"), 20), root)
+        memo = tree_facts(root).pair_memo
+        assert memo
+        tree_facts.cache_clear()
+        assert tree_facts(root).pair_memo == {}
+        assert tree_facts(root).pair_memo is not memo
+
+    def test_leaves_gives_a_list_of_its_own(self):
+        root = parse(sample_source("accumulator"))
+        recording = simulate(root, Strategy("linear"), 40)
+        first, profile = leaves(root), build_profile(recording, root)
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        assert leaves(root) == expected and leaves(root) is not leaves(root)
+        assert build_profile(recording, root).to_json() == profile.to_json()
+        assert simulate(root, Strategy("linear"), 40) == recording
+
+    def test_readers_of_a_linked_tree_walk_it_no_more(self):
+        root = parse(sample_source("lookup"))
+        build_profile(simulate(root, Strategy("defuse"), 40), root)
+        a, b = leaves(root)[:2]
+        before = tree_facts.cache_info()
+        path_between(root, a, b)
+        all_path_contexts(root)
+        simulate(root, Strategy("linear"), 20)
+        simulate(root, Strategy("defuse"), 20)
+        after = tree_facts.cache_info()
+        # each call reads the record the linker's call left in the cache
+        assert (after.hits, after.misses) == (before.hits + 4, before.misses)
 
 
 def _method(body):
