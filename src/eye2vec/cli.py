@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis, gaze, linker, simulator
 from .compressor import EyeVector, compress, read_eye_vector
 from .embeddings import DEFAULT_DIM, DEFAULT_SEED, MAX_DIM, EmbeddingTable, load_table
-from .errors import Eye2vecError, FormatError, _read_input
+from .errors import EmptyProfileError, Eye2vecError, FormatError, _read_input
 from .minilang import parse
 from .pathctx import DEFAULT_MAX_LENGTH, DEFAULT_MAX_WIDTH, _iter_path_contexts
 
@@ -154,7 +154,10 @@ def _link_options(args: argparse.Namespace) -> linker.LinkOptions:
 def _build_profile(args: argparse.Namespace) -> linker.TransitionProfile:
     root = parse(_read_input(args.src))
     recording = gaze.read_fixations(args.fixations, mode="grid")
-    return linker.build_profile(recording, root, _link_options(args))
+    profile = linker.build_profile(recording, root, _link_options(args))
+    if profile.is_empty:
+        raise EmptyProfileError("EmptyProfile: no transitions could be formed from the fixations")
+    return profile
 
 
 def _embedding_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> EmbeddingTable:
@@ -184,18 +187,12 @@ def _cmd_convert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _cmd_link(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     profile = _build_profile(args)
-    if profile.is_empty:
-        sys.stderr.write("EmptyProfile: no transitions could be formed from the fixations\n")
-        return 1
     _emit(profile.to_json() + "\n", args.out)
     return 0
 
 
 def _cmd_vectorize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     profile = _build_profile(args)
-    if profile.is_empty:
-        sys.stderr.write("EmptyProfile: no transitions could be formed from the fixations\n")
-        return 1
     table = _embedding_table(args, parser)
     vector = compress(profile, table, normalize=not args.no_normalize)
     _emit(vector.to_json() + "\n", args.out)

@@ -47,14 +47,12 @@ def check_dim(dim: int) -> None:
         raise ValueError(f"dim must be at most {MAX_DIM}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # entries are arrays: compare and hash by identity
 class EmbeddingTable:
     dim: int
     entries: Mapping[str, np.ndarray] = field(default_factory=dict)
     fallback_seed: int = DEFAULT_SEED
-    _fallbacks: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fallbacks: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
@@ -74,8 +72,9 @@ class EmbeddingTable:
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
-    """Load a TSV table: header line, then ``key<TAB>f1 f2 ... fd`` rows, each
-    ended by ``\\n`` only, so a key may hold any other line break."""
+    """Load a TSV table: header line, then ``key<TAB>f1 f2 ... fd`` rows. A
+    row ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as ``open()`` reads
+    text, so a key may hold any other line break."""
     lines = _read_input(path).split("\n")
     if not lines[-1]:
         lines.pop()  # a final line break ends the last row, it starts none

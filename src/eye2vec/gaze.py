@@ -12,9 +12,9 @@ A recording is in one mode, pixel or grid, and holds its fixations as the
 four columns of its CSV; its shape is checked once, where it is made, and
 ``Recording.fixations`` builds ``Fixation`` objects only when asked.
 ``read_fixations`` converts and checks whole columns; only when some row is
-bad does it run the row-by-row reader, whose one pass raises the error for
-the first bad row. ``convert_recording`` turns the x and y columns into line
-and col columns with ``to_grid``'s own arithmetic, building no objects.
+bad does it walk the rows, to raise the error for the first bad one.
+``convert_recording`` turns the x and y columns into line and col columns
+with ``to_grid``'s own arithmetic, building no objects.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import FormatError, OutOfViewport, _read_input
 
@@ -172,7 +173,7 @@ def _parse_columns(body: list[list[str]], mode: str) -> _Columns | None:
     """The columns of ``body`` if every row is good, else ``None``.
 
     Each column goes through the same ``int()`` or ``float()`` as in
-    ``_parse_rows``, and each of its checks is made over a whole column.
+    ``_raise_first_bad_row``, and each check covers a whole column.
     """
     if not body:
         return (), (), (), ()
@@ -199,13 +200,9 @@ def _parse_columns(body: list[list[str]], mode: str) -> _Columns | None:
     return timestamps, first, second, durations
 
 
-def _parse_rows(body: list[list[str]], mode: str) -> _Columns:
-    """The columns of ``body`` read row by row: the pass that raises
-    FormatError for the first bad row."""
-    timestamps: list[int] = []
-    firsts: list = []
-    seconds: list = []
-    durations: list[int] = []
+def _raise_first_bad_row(body: list[list[str]], mode: str) -> NoReturn:
+    """Raise FormatError for the first bad row of a body that
+    ``_parse_columns`` refused, naming the row and what is wrong with it."""
     last_timestamp: int | None = None
     for row_no, row in enumerate(body, start=2):
         if len(row) != 4:
@@ -220,20 +217,16 @@ def _parse_rows(body: list[list[str]], mode: str) -> _Columns:
             raise FormatError(row_no, f"timestamp {timestamp} decreases below {last_timestamp}")
         last_timestamp = timestamp
         if mode == "pixel":
-            first: int | float = _parse_float(row[1], row_no, "x_px")
-            second: int | float = _parse_float(row[2], row_no, "y_px")
-            if first < 0 or second < 0:
+            x = _parse_float(row[1], row_no, "x_px")
+            y = _parse_float(row[2], row_no, "y_px")
+            if x < 0 or y < 0:
                 raise FormatError(row_no, "pixel coordinates must be non-negative")
         else:
-            first = _parse_int(row[1], row_no, "line")
-            second = _parse_int(row[2], row_no, "col")
-            if first < 1 or second < 1:
+            line = _parse_int(row[1], row_no, "line")
+            col = _parse_int(row[2], row_no, "col")
+            if line < 1 or col < 1:
                 raise FormatError(row_no, "line and col are 1-based and must be >= 1")
-        timestamps.append(timestamp)
-        firsts.append(first)
-        seconds.append(second)
-        durations.append(duration)
-    return tuple(timestamps), tuple(firsts), tuple(seconds), tuple(durations)
+    raise AssertionError("_parse_columns refused a body with no bad row")
 
 
 def read_fixations(path: str | Path, mode: str) -> Recording:
@@ -257,7 +250,7 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
         raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
     columns = _parse_columns(rows[1:], mode)
     if columns is None:
-        columns = _parse_rows(rows[1:], mode)
+        _raise_first_bad_row(rows[1:], mode)
     return Recording._from_columns(path.stem, mode, columns)
 
 
@@ -301,8 +294,9 @@ def convert_recording(recording: Recording, grid: FontGrid) -> Recording:
 
 
 def read_labels(path: str | Path) -> dict[str, str]:
-    """Read a two-column ``recording_id<TAB>label`` TSV; rows end at ``\\n``
-    only, so an id or label may hold any other line break."""
+    """Read a two-column ``recording_id<TAB>label`` TSV; a row ends at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``, as ``open()`` reads text, and
+    an id or label may hold any other line break."""
     labels: dict[str, str] = {}
     lines = _read_input(path).split("\n")
     if not lines[-1]:

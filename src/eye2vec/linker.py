@@ -25,7 +25,7 @@ from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
-from .minilang import _LineIndex, AstNode, Child, LeafToken, tree_facts
+from .minilang import _LineIndex, AstNode, LeafToken, tree_facts
 from .pathctx import PathContext, context_between
 
 DEFAULT_SNAP_TOL_COLS = 3
@@ -175,12 +175,6 @@ def _nearest_leaf(
     return (best, best_distance) if best is not None else (None, 0)
 
 
-def _self_transition_context(leaf: LeafToken, parents: dict[Child, AstNode]) -> PathContext:
-    # A re-fixation has no leaf-to-leaf path; the degenerate context uses the
-    # enclosing node's label as the sole path element.
-    return PathContext(leaf.text, parents[leaf].label, leaf.text)
-
-
 def build_profile(
     recording: Recording, root: AstNode, options: LinkOptions | None = None
 ) -> TransitionProfile:
@@ -190,9 +184,9 @@ def build_profile(
     a pixel recording with rows raises ``TypeError``. With ``chain="skip"``
     dropped fixations do not sever the sequence; with ``chain="strict"``
     they do. Self transitions (same leaf twice) are dropped by default and
-    never break the chain. An empty result (zero transitions), as from a
-    recording with no rows in either mode, is returned as a valid, empty
-    profile.
+    never break the chain; a kept one is ``context_between(leaf, leaf)``. An
+    empty result (zero transitions), as from a recording with no rows in
+    either mode, is returned as a valid, empty profile.
 
     One pass over the fixations counts each (leaf, leaf) pair; then each
     distinct pair takes its path context from the tree's pair memo, or
@@ -225,11 +219,7 @@ def build_profile(
     for pair, count in pairs.items():
         context = memo.get(pair)
         if context is None:
-            a, b = pair
-            if a is b:
-                context = _self_transition_context(a, facts.parents)
-            else:
-                context = context_between(a, b, facts.parents, facts.depths)
+            context = context_between(*pair, facts.parents, facts.depths)
             if len(memo) < _PAIR_MEMO_SIZE:
                 memo[pair] = context
         counts[context] = counts.get(context, 0) + count

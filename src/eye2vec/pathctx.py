@@ -65,8 +65,8 @@ def context_between(
 
     Found by lifting the deeper of the two leaves' parents until both are at
     equal depth, then both in lockstep until they meet at the LCA. The
-    caller vouches that ``a`` and ``b`` are distinct leaves of the tree the
-    maps come from.
+    caller vouches that ``a`` and ``b`` are leaves of the tree the maps come
+    from; if ``a`` is ``b``, the path is the label of the leaf's parent alone.
     """
     up: list[str] = []
     down: list[str] = []

@@ -36,7 +36,6 @@ from eye2vec.linker import (
     MappedFixation,
     TransitionProfile,
     _nearest_leaf,
-    _self_transition_context,
 )
 from eye2vec.minilang import (
     BUILTIN_TYPES,
@@ -189,7 +188,8 @@ def oracle_build_profile_per_transition(
             previous = leaf
             continue
         if previous is leaf:
-            context = _self_transition_context(leaf, parents)
+            # a re-fixation: the enclosing node's label is the sole path element
+            context = PathContext(leaf.text, parents[leaf].label, leaf.text)
         else:
             context = context_between(previous, leaf, parents, depths)
         counts[context] = counts.get(context, 0) + 1

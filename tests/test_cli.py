@@ -245,11 +245,15 @@ class TestLink:
         assert data["total_transitions"] == 19
         assert data["entries"]
 
-    def test_empty_profile_exits_1(self, src_file, tmp_path, capsys):
+    @pytest.mark.parametrize("subcommand", ["link", "vectorize"])
+    def test_empty_profile_exits_1(self, src_file, tmp_path, capsys, subcommand):
         empty = tmp_path / "empty.csv"
         empty.write_text("timestamp_ms,line,col,duration_ms\n", encoding="utf-8")
-        assert main(["link", str(src_file), str(empty)]) == 1
-        assert "EmptyProfile" in capsys.readouterr().err
+        assert main([subcommand, str(src_file), str(empty)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "EmptyProfile" in line
 
     def test_out_flag_writes_file(self, src_file, sim_dir, tmp_path, capsys):
         out = tmp_path / "profile.json"

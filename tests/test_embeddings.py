@@ -277,7 +277,15 @@ class TestFallbackMemo:
     def test_memo_is_per_table(self):
         first, second = EmbeddingTable(dim=8), EmbeddingTable(dim=8)
         assert lookup(first, "tok:x") is not lookup(second, "tok:x")
-        assert first == second
+
+    def test_tables_compare_and_hash_by_identity(self):
+        table = EmbeddingTable(dim=2, entries={"tok:a": [1.0, 0.0]})
+        copy_of = dataclasses.replace(table)
+        assert table == table
+        assert table != copy_of
+        assert table != EmbeddingTable(dim=2, entries={"tok:a": [1.0, 0.0]})
+        assert hash(table) == hash(table)
+        assert table in {table} and copy_of not in {table}
 
 
 class TestEntriesDict:

@@ -333,6 +333,11 @@ class TestReadAgainstRowLoop:
         assert (gaze._parse_columns(rows, mode) is not None) == (want[0] == "ok")
         if want[0] == "ok":
             assert read_fixations(path, mode).mode == mode
+        else:
+            # and the row walk names the row loop's first bad row
+            with pytest.raises(FormatError) as raised:
+                gaze._raise_first_bad_row(rows, mode)
+            assert ("error", raised.value.row, raised.value.message) == want
 
     @pytest.mark.parametrize("mode,body,row", [
         ("pixel", ["0,1_0, 12,10", "5,inf,1,10"], 3),

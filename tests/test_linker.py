@@ -30,7 +30,7 @@ from eye2vec.linker import (
     map_fixation,
 )
 from eye2vec.minilang import leaves, parse, tree_facts
-from eye2vec.pathctx import PathContext, path_between
+from eye2vec.pathctx import PathContext, context_between, path_between
 from eye2vec.simulator import Strategy, simulate
 from oracles import (
     oracle_build_profile_per_transition,
@@ -144,7 +144,7 @@ class TestBuildProfile:
         assert profile.entries == {ab: 1}
         assert profile.to_json_dict()["entries"][0]["ratio"] == 1.0
 
-    def test_self_transition_kept_mode(self, root):
+    def test_self_transition_kept_mode(self, root, sample_roots):
         a = leaf_by_text(root, "count")
         options = LinkOptions(self_transitions="keep")
         profile = build_profile(recording_over([a, a]), root, options)
@@ -152,6 +152,12 @@ class TestBuildProfile:
         (ctx,) = profile.entries
         assert ctx.source_text == ctx.target_text == "count"
         assert ctx.path_encoding == oracle_parents(root)[id(a)].label == "Name"
+        # a leaf paired with itself: the parent's label is the whole path
+        for sample in sample_roots.values():
+            facts, parents = tree_facts(sample), oracle_parents(sample)
+            for leaf in facts.leaves:
+                expected = PathContext(leaf.text, parents[id(leaf)].label, leaf.text)
+                assert context_between(leaf, leaf, facts.parents, facts.depths) == expected
 
     def test_duplicating_fixations_preserves_ratios(self, root):
         a = leaf_by_text(root, "count")
