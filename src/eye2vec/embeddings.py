@@ -37,6 +37,7 @@ DEFAULT_SEED = 42
 # The largest embedding dimension accepted, checked before any vector is
 # allocated; an eye vector then holds at most 3 * MAX_DIM floats (1.5 MiB).
 MAX_DIM = 65536
+_NAMESPACES = ("tok:", "path:")  # every key starts with one of these
 
 
 def check_dim(dim: int) -> None:
@@ -95,7 +96,7 @@ def load_table(path: str | Path) -> EmbeddingTable:
         if len(parts) != 2:
             raise FormatError(line_no, "expected exactly one tab between key and values")
         key, values_text = parts
-        if not (key.startswith("tok:") or key.startswith("path:")):
+        if not key.startswith(_NAMESPACES):
             raise FormatError(line_no, f"key {key!r} must be namespaced 'tok:' or 'path:'")
         if key in entries:
             raise FormatError(line_no, f"duplicate key {key!r}")
@@ -136,7 +137,7 @@ def lookup(table: EmbeddingTable, key: str) -> np.ndarray:
     A fallback is computed once per table and returned as the same read-only
     array on every later lookup.
     """
-    if not (key.startswith("tok:") or key.startswith("path:")):
+    if not key.startswith(_NAMESPACES):
         raise ValueError(f"key {key!r} must be namespaced 'tok:' or 'path:'")
     stored = table.entries.get(key)
     if stored is not None:

@@ -11,8 +11,8 @@ Neither format carries any personal identifier; a recording is just an id
 A recording is in one mode, pixel or grid, and holds its fixations as the
 four columns of its CSV; its shape is checked once, where it is made, and
 ``Recording.fixations`` builds ``Fixation`` objects only when asked.
-``read_fixations`` converts and checks whole columns; only when some row is
-bad does it walk the rows, to raise the error for the first bad one.
+``read_fixations`` converts and checks whole columns, and that one rule set
+also names the first bad row: over bad input, halving the body finds it.
 ``convert_recording`` turns the x and y columns into line and col columns
 with ``to_grid``'s own arithmetic, building no objects.
 """
@@ -26,7 +26,6 @@ import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 from .errors import FormatError, OutOfViewport, _read_input
 
@@ -152,81 +151,64 @@ def to_grid(fixation: Fixation, grid: FontGrid) -> Fixation:
     return Fixation(fixation.timestamp_ms, fixation.duration_ms, GridPos(line, col))
 
 
-def _parse_int(value: str, row: int, name: str) -> int:
+def _convert(fields: tuple[str, ...], number: type, name: str) -> tuple | str:
+    """``fields`` through ``number``, or what is wrong with the last field."""
     try:
-        return int(value)
+        values = tuple(map(number, fields))
     except ValueError:
-        raise FormatError(row, f"field {name!r} must be an integer, got {value!r}") from None
+        kind = "an integer" if number is int else "a number"
+        return f"field {name!r} must be {kind}, got {fields[-1]!r}"
+    if number is float and not all(map(math.isfinite, values)):
+        return f"field {name!r} must be finite, got {fields[-1]!r}"
+    return values
 
 
-def _parse_float(value: str, row: int, name: str) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise FormatError(row, f"field {name!r} must be a number, got {value!r}") from None
-    if not math.isfinite(parsed):
-        raise FormatError(row, f"field {name!r} must be finite, got {value!r}")
-    return parsed
-
-
-def _parse_columns(body: list[list[str]], mode: str) -> _Columns | None:
-    """The columns of ``body`` if every row is good, else ``None``.
-
-    Each column goes through the same ``int()`` or ``float()`` as in
-    ``_raise_first_bad_row``, and each check covers a whole column.
-    """
+def _parse_columns(body: list[list[str]], mode: str) -> _Columns | str:
+    """The columns of ``body``, or what is wrong with its last row: each check
+    covers a whole column, in the order one row's fields are checked, so the
+    message is right whenever every row before the last is good."""
     if not body:
         return (), (), (), ()
     if set(map(len, body)) != {4}:
-        return None
-    number = float if mode == "pixel" else int
+        return f"expected 4 fields, got {len(body[-1])}"
+    number, names = (float, ("x_px", "y_px")) if mode == "pixel" else (int, ("line", "col"))
     text = list(zip(*body))
-    try:
-        timestamps, durations = tuple(map(int, text[0])), tuple(map(int, text[3]))
-        first, second = tuple(map(number, text[1])), tuple(map(number, text[2]))
-    except ValueError:
-        return None
-    if min(timestamps) < 0 or min(durations) <= 0:
-        return None
+    timestamps = _convert(text[0], int, "timestamp_ms")
+    durations = _convert(text[3], int, "duration_ms")
+    for column in (timestamps, durations):
+        if isinstance(column, str):
+            return column
+    if min(timestamps) < 0:
+        return "timestamp_ms must be non-negative"
+    if min(durations) <= 0:
+        return "duration_ms must be positive"
     if not all(map(operator.le, timestamps, timestamps[1:])):
-        return None
+        return f"timestamp {timestamps[-1]} decreases below {timestamps[-2]}"
+    first, second = _convert(text[1], number, names[0]), _convert(text[2], number, names[1])
+    for column in (first, second):
+        if isinstance(column, str):
+            return column
     if mode == "pixel":
-        if not (all(map(math.isfinite, first)) and all(map(math.isfinite, second))):
-            return None
         if min(first) < 0 or min(second) < 0:
-            return None
+            return "pixel coordinates must be non-negative"
     elif min(first) < 1 or min(second) < 1:
-        return None
+        return "line and col are 1-based and must be >= 1"
     return timestamps, first, second, durations
 
 
-def _raise_first_bad_row(body: list[list[str]], mode: str) -> NoReturn:
-    """Raise FormatError for the first bad row of a body that
-    ``_parse_columns`` refused, naming the row and what is wrong with it."""
-    last_timestamp: int | None = None
-    for row_no, row in enumerate(body, start=2):
-        if len(row) != 4:
-            raise FormatError(row_no, f"expected 4 fields, got {len(row)}")
-        timestamp = _parse_int(row[0], row_no, "timestamp_ms")
-        duration = _parse_int(row[3], row_no, "duration_ms")
-        if timestamp < 0:
-            raise FormatError(row_no, "timestamp_ms must be non-negative")
-        if duration <= 0:
-            raise FormatError(row_no, "duration_ms must be positive")
-        if last_timestamp is not None and timestamp < last_timestamp:
-            raise FormatError(row_no, f"timestamp {timestamp} decreases below {last_timestamp}")
-        last_timestamp = timestamp
-        if mode == "pixel":
-            x = _parse_float(row[1], row_no, "x_px")
-            y = _parse_float(row[2], row_no, "y_px")
-            if x < 0 or y < 0:
-                raise FormatError(row_no, "pixel coordinates must be non-negative")
+def _first_bad_row(body: list[list[str]], mode: str) -> FormatError:
+    """The error for the first bad row of a body ``_parse_columns`` refused,
+    found by halving ``lo:hi``, the rows in doubt: the left half is checked
+    with the good row before it, so timestamp order is checked across the
+    cut, and the message comes from the bad row and the row before it."""
+    lo, hi = 0, len(body)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(_parse_columns(body[max(lo - 1, 0):mid], mode), str):
+            hi = mid
         else:
-            line = _parse_int(row[1], row_no, "line")
-            col = _parse_int(row[2], row_no, "col")
-            if line < 1 or col < 1:
-                raise FormatError(row_no, "line and col are 1-based and must be >= 1")
-    raise AssertionError("_parse_columns refused a body with no bad row")
+            lo = mid
+    return FormatError(lo + 2, _parse_columns(body[max(lo - 1, 0):lo + 1], mode))
 
 
 def read_fixations(path: str | Path, mode: str) -> Recording:
@@ -234,7 +216,9 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
 
     Raises FormatError (with the 1-based physical row) on a wrong header,
     a row the CSV reader rejects (such as an oversized field), non-numeric
-    field, negative value, or decreasing timestamp.
+    field, negative value, or decreasing timestamp. The body is checked a
+    whole column at a time; only if it is refused are halves of it checked
+    with the same rules, to name the first bad row and what is wrong with it.
     """
     if mode not in ("pixel", "grid"):
         raise ValueError(f"mode must be 'pixel' or 'grid', got {mode!r}")
@@ -249,8 +233,8 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
         found = ",".join(rows[0]) if rows else "<empty file>"
         raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
     columns = _parse_columns(rows[1:], mode)
-    if columns is None:
-        _raise_first_bad_row(rows[1:], mode)
+    if isinstance(columns, str):
+        raise _first_bad_row(rows[1:], mode)
     return Recording._from_columns(path.stem, mode, columns)
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -290,7 +291,7 @@ def _body(draw, mode):
     wrong field count or a timestamp below the one before."""
     rows = []
     timestamp = draw(st.integers(-1, 5))
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 40))):
         timestamp += draw(st.integers(-2, 400))
         if mode == "pixel":
             position = [repr(draw(st.floats(-1, 1e308) | st.floats(0, 3000))) for _ in "xy"]
@@ -330,14 +331,13 @@ class TestReadAgainstRowLoop:
         assert _outcome(read_fixations, path, mode) == want
         # the column checks pass exactly the files the row loop accepts
         rows = list(csv.reader(io.StringIO(text)))[1:]
-        assert (gaze._parse_columns(rows, mode) is not None) == (want[0] == "ok")
+        assert (not isinstance(gaze._parse_columns(rows, mode), str)) == (want[0] == "ok")
         if want[0] == "ok":
             assert read_fixations(path, mode).mode == mode
         else:
-            # and the row walk names the row loop's first bad row
-            with pytest.raises(FormatError) as raised:
-                gaze._raise_first_bad_row(rows, mode)
-            assert ("error", raised.value.row, raised.value.message) == want
+            # and halving names the row loop's first bad row and its message
+            error = gaze._first_bad_row(rows, mode)
+            assert ("error", error.row, error.message) == want
 
     @pytest.mark.parametrize("mode,body,row", [
         ("pixel", ["0,1_0, 12,10", "5,inf,1,10"], 3),
@@ -348,6 +348,12 @@ class TestReadAgainstRowLoop:
         ("grid", ["0,1,1,10", "5,1,1,10", "4,1,1,10"], 4),
         ("grid", ["0,1,1,10", "5,1,1", "x,1,1,10"], 3),
         ("grid", ["0,1,1,10", "5,1,1,-3"], 3),
+        # the first halving cuts between rows 5 and 6, where the timestamp falls
+        ("grid", [f"{t},1,1,10" for t in (0, 1, 2, 3, 2, 5, 6, 7)], 6),
+        ("grid", ["0,1,1,10"] * 32 + ["0,1,1,0"], 34),
+        ("pixel", ["x,1,1,10", "0,1,1,10", "1,1,1,10"], 2),
+        # the timestamp is checked before x, as the row loop does
+        ("pixel", ["-5,abc,1,10"], 2),
     ])
     def test_first_bad_row_reported(self, tmp_path, mode, body, row):
         header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
@@ -356,6 +362,24 @@ class TestReadAgainstRowLoop:
             read_fixations(path, mode)
         assert exc.value.row == row
         assert _outcome(read_fixations, path, mode) == _outcome(oracle_read_fixations, path, mode)
+
+    def test_error_path_checks_each_row_a_bounded_number_of_times(self, tmp_path, monkeypatch):
+        n = 4097
+        body = [f"{t},1,1,10" for t in range(n - 1)] + ["0,1,1,10"]
+        path = write(tmp_path, "long.csv", "\n".join([",".join(GRID_HEADER), *body]) + "\n")
+        sizes = []
+        parse_columns = gaze._parse_columns
+
+        def counted(rows, mode):
+            sizes.append(len(rows))
+            return parse_columns(rows, mode)
+
+        monkeypatch.setattr(gaze, "_parse_columns", counted)
+        with pytest.raises(FormatError) as exc:
+            read_fixations(path, "grid")
+        assert (exc.value.row, exc.value.message) == (n + 1, f"timestamp 0 decreases below {n - 2}")
+        assert len(sizes) <= 2 + math.ceil(math.log2(n))
+        assert sum(sizes) <= 3 * n + 2
 
     def test_python_number_syntax_accepted_as_by_the_row_loop(self, tmp_path):
         path = write(tmp_path, "odd.csv", "timestamp_ms,line,col,duration_ms\n1_0, 12,١٢,+7\n")
