@@ -4,6 +4,17 @@ The eye vector is the ratio-weighted sum of the profile's context vectors;
 the more often a context was traversed, the more its embedding contributes.
 Summation runs in the profile's canonical order, by context string, so
 outputs are bit-stable.
+
+``compress`` reads each context's three part vectors from the table's
+context memo (see ``embeddings``) and gathers a block of contexts into one
+``(k, 3 * dim)`` matrix with a single ``np.concatenate``. It scales the
+block in place by the column of ``count / total`` weights and adds its rows
+to the sum one at a time, in entry order, starting from zeros. So every
+element goes through the same IEEE multiply and add as in a loop of
+``raw += count / total * context_vector(table, context)``, and the output
+bits are the same. A block holds at most ``_BLOCK_FLOATS`` (2**18) floats,
+at least one row, so the gather needs O(block + 3 * dim) memory whatever
+``dim`` is.
 """
 
 from __future__ import annotations
@@ -14,9 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, context_vector
+from .embeddings import EmbeddingTable, _context_parts
 from .errors import EmptyProfileError, FormatError, ZeroVectorError, _read_input
 from .linker import TransitionProfile
+
+_BLOCK_FLOATS = 2**18
 
 
 @dataclass
@@ -99,8 +112,16 @@ def compress(
     out_dim = 3 * table.dim
     raw = np.zeros(out_dim, dtype=np.float64)
     total = profile.total_transitions
-    for context, count in profile.entries.items():
-        raw += count / total * context_vector(table, context)
+    items = list(profile.entries.items())
+    step = max(1, _BLOCK_FLOATS // out_dim)
+    for start in range(0, len(items), step):
+        block = items[start : start + step]
+        rows = np.concatenate(
+            [part for context, _ in block for part in _context_parts(table, context)]
+        ).reshape(len(block), out_dim)
+        rows *= np.array([count / total for _, count in block])[:, None]
+        for row in rows:
+            raw += row
     if normalize:
         norm = float(np.linalg.norm(raw))
         if norm == 0.0:

@@ -15,6 +15,17 @@ one ``np.uint64`` array, and each table computes it once per absent key:
 ``lookup`` keeps it in the table's private memo, keyed by the key alone.
 The memo costs one ``dim``-float vector per distinct absent key for the
 table's lifetime; it never enters ``entries``.
+
+Each table also memoises, per ``PathContext``, the tuple of its three part
+vectors (source token, path, target token), so ``compress`` and
+``context_vector`` make no key string and no ``lookup`` for a context seen
+before. The parts are the very arrays ``lookup`` returns, an ``entries``
+value or a fallback, never copies, so the bytes are those of three lookups
+and an entry costs one 3-tuple and its dict slot (about 90 bytes), not
+``3 * dim`` floats. The memo holds at most ``_CONTEXT_MEMO_SIZE`` (16,384)
+contexts, about 1.5 MB besides the contexts it keeps alive; once full, a
+new context is looked up as on a miss and not stored. Both memos start
+empty in a table made by ``dataclasses.replace`` or unpickled.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ DEFAULT_SEED = 42
 # allocated; an eye vector then holds at most 3 * MAX_DIM floats (1.5 MiB).
 MAX_DIM = 65536
 _NAMESPACES = ("tok:", "path:")  # every key starts with one of these
+_CONTEXT_MEMO_SIZE = 16384
 
 
 def check_dim(dim: int) -> None:
@@ -54,6 +66,8 @@ class EmbeddingTable:
     entries: Mapping[str, np.ndarray] = field(default_factory=dict)
     fallback_seed: int = DEFAULT_SEED
     _fallbacks: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _contexts: dict[PathContext, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
@@ -148,12 +162,23 @@ def lookup(table: EmbeddingTable, key: str) -> np.ndarray:
     return vector
 
 
-def context_vector(table: EmbeddingTable, context: PathContext) -> np.ndarray:
-    """Concatenated (source token, path, target token) embedding, length 3*dim."""
-    return np.concatenate(
-        [
+def _context_parts(
+    table: EmbeddingTable, context: PathContext
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (source token, path, target token) vectors of ``context``, as the
+    read-only arrays ``lookup`` returns, kept in the table's context memo."""
+    parts = table._contexts.get(context)
+    if parts is None:
+        parts = (
             lookup(table, "tok:" + context.source_text),
             lookup(table, "path:" + context.path_encoding),
             lookup(table, "tok:" + context.target_text),
-        ]
-    )
+        )
+        if len(table._contexts) < _CONTEXT_MEMO_SIZE:
+            table._contexts[context] = parts
+    return parts
+
+
+def context_vector(table: EmbeddingTable, context: PathContext) -> np.ndarray:
+    """Concatenated (source token, path, target token) embedding, length 3*dim."""
+    return np.concatenate(_context_parts(table, context))

@@ -1,12 +1,14 @@
 """Path contexts: the AST route between two leaves, with a stable encoding.
 
 A context is rendered as ``source_text,path_encoding,target_text`` and
-hashes itself (FNV-1a over that string) when it is made. The encoding lists
-ancestor labels from the source leaf up to the lowest common ancestor
-(suffixed with an up arrow), the LCA label bare, and labels back down to
-the target leaf (prefixed with a down arrow). Trees hold no parent links:
-every call reads the tree's leaves, parents and depths from
-``minilang.tree_facts``, which walks each tree once and keeps the record.
+hashes itself (FNV-1a over that string) when it is made; ``hash()`` returns
+that stored value, and equality compares the fields, because two distinct
+contexts can render one string. The encoding lists ancestor labels from the
+source leaf up to the lowest common ancestor (suffixed with an up arrow),
+the LCA label bare, and labels back down to the target leaf (prefixed with
+a down arrow). Trees hold no parent links: every call reads the tree's
+leaves, parents and depths from ``minilang.tree_facts``, which walks each
+tree once and keeps the record.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ class PathContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hash", fnv1a64(self.context_string))
+
+    def __hash__(self) -> int:
+        return self.hash
 
     @property
     def context_string(self) -> str:

@@ -16,6 +16,8 @@ oracle is ``read_fixations``'s former row loop, which builds one
 ``Fixation`` per row, and the FNV oracle is ``fnv1a64``'s former two
 statements per byte. The tokenizer and parser oracles are ``tokenize`` and
 the parser as they were when every token carried its own ``SourceSpan``.
+The compress oracle is ``compress``'s former loop: three ``lookup`` calls,
+one concatenate and one weighted add per context, with no context memo.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from eye2vec.errors import FormatError, LexError, ParseError, ZeroVectorError
+from eye2vec.compressor import EyeVector
+from eye2vec.embeddings import EmbeddingTable, lookup
+from eye2vec.errors import EmptyProfileError, FormatError, LexError, ParseError, ZeroVectorError
 from eye2vec.gaze import GRID_HEADER, PIXEL_HEADER, Fixation, GridPos, PixelPos, Recording
 from eye2vec.hashing import FNV_OFFSET_BASIS, FNV_PRIME, SplitMix64, fnv1a64
 from eye2vec.linker import (
@@ -195,6 +199,36 @@ def oracle_build_profile_per_transition(
         counts[context] = counts.get(context, 0) + 1
         previous = leaf
     return TransitionProfile(recording.recording_id, counts)
+
+
+def oracle_compress(
+    profile: TransitionProfile, table: EmbeddingTable, normalize: bool = True
+) -> EyeVector:
+    """``compress`` as ``raw += count / total * vector`` for one context at a
+    time, each vector concatenated from its three ``lookup`` results."""
+    if profile.total_transitions == 0:
+        raise EmptyProfileError(f"profile {profile.recording_id!r} has no transitions")
+    raw = np.zeros(3 * table.dim, dtype=np.float64)
+    total = profile.total_transitions
+    for context, count in profile.entries.items():
+        vector = np.concatenate([
+            lookup(table, "tok:" + context.source_text),
+            lookup(table, "path:" + context.path_encoding),
+            lookup(table, "tok:" + context.target_text),
+        ])
+        raw += count / total * vector
+    if normalize:
+        norm = float(np.linalg.norm(raw))
+        if norm == 0.0:
+            raise ZeroVectorError("weighted context vectors cancel to the zero vector")
+        raw = raw / norm
+    meta = {
+        "total_transitions": total,
+        "distinct_contexts": len(profile.entries),
+        "embedding_seed": table.fallback_seed,
+        "created_from": str(profile.content_hash()),
+    }
+    return EyeVector(profile.recording_id, 3 * table.dim, raw, normalize, meta)
 
 
 def _oracle_unit(values: np.ndarray) -> np.ndarray:

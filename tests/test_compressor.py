@@ -1,10 +1,16 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_compress
 
+from eye2vec import compressor, embeddings
 from eye2vec.compressor import EyeVector, compress, read_eye_vector
-from eye2vec.embeddings import context_vector, load_table
+from eye2vec.embeddings import EmbeddingTable, context_vector, load_table
 from eye2vec.errors import EmptyProfileError, FormatError, ZeroVectorError
 from eye2vec.linker import TransitionProfile, build_profile
 from eye2vec.pathctx import PathContext
@@ -112,6 +118,93 @@ class TestCompress:
         n_b = sum(counts_b.values())
         expected = (n_a * va.values + n_b * vb.values) / (n_a + n_b)
         assert np.max(np.abs(vm.values - expected)) <= 1e-9
+
+
+# ("x", "P", "y,P,z") and ("x,P,y", "P", "z") render one string and one hash
+_TEXTS = ["x", "z", "y,P,z", "x,P,y", "", "↑"]
+_PATHS = ["P", "Q↑R", "S↓T"]
+_COMPONENT = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324]),
+                       st.floats(-1e6, 1e6))
+
+
+def _outcome(fn, *args):
+    """The output's bytes and JSON, or the exception's type and message."""
+    try:
+        vector = fn(*args)
+    except (ZeroVectorError, ValueError) as exc:
+        return type(exc), str(exc)
+    return vector.values.tobytes(), vector.to_json()
+
+
+@st.composite
+def _tables_and_profiles(draw):
+    dim = draw(st.integers(1, 5))
+    keys = [f"tok:{t}" for t in _TEXTS] + [f"path:{p}" for p in _PATHS]
+    kind = draw(st.sampled_from(["loaded", "fallback", "mixed"]))
+    stored = {"loaded": keys, "fallback": []}.get(kind) or draw(
+        st.lists(st.sampled_from(keys), unique=True))
+    entries = {key: draw(st.lists(_COMPONENT, min_size=dim, max_size=dim)) for key in stored}
+    table = EmbeddingTable(dim, entries, draw(st.integers(0, 2**64 - 1)))
+    contexts = st.builds(PathContext, st.sampled_from(_TEXTS), st.sampled_from(_PATHS),
+                         st.sampled_from(_TEXTS))
+    counts = draw(st.dictionaries(contexts, st.integers(1, 10**20), min_size=1, max_size=40))
+    return table, TransitionProfile("r", counts)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_tables_and_profiles(), normalize=st.booleans(),
+           block_floats=st.none() | st.integers(1, 60))
+    def test_bit_equal_to_per_context_loop(self, case, normalize, block_floats):
+        table, profile = case
+        expected = _outcome(oracle_compress, profile, table, normalize)
+        block_floats = block_floats or compressor._BLOCK_FLOATS
+        with mock.patch.object(compressor, "_BLOCK_FLOATS", block_floats):
+            cold = _outcome(compress, profile, table, normalize)
+            warm = _outcome(compress, profile, table, normalize)
+        assert cold == warm == expected
+
+
+class TestContextMemo:
+    def test_second_compress_makes_no_lookup(self, monkeypatch):
+        calls = []
+        real = embeddings.lookup
+        monkeypatch.setattr(embeddings, "lookup",
+                            lambda table, key: calls.append(key) or real(table, key))
+        table = EmbeddingTable(dim=8, fallback_seed=42)
+        profile = TransitionProfile("r", {PathContext(f"t{i % 3}", f"P{i}", "u"): i + 1
+                                          for i in range(12)})
+        first = compress(profile, table)
+        assert len(calls) == 3 * len(profile.entries)
+        calls.clear()
+        second = compress(profile, table)
+        assert calls == [] and second.to_json() == first.to_json()
+
+    def test_outputs_unchanged_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CONTEXT_MEMO_SIZE", 5)
+        table = EmbeddingTable(dim=4, fallback_seed=11)
+        profile = TransitionProfile("r", {PathContext(f"t{i}", "P", f"u{i % 4}"): i + 1
+                                          for i in range(9)})
+        expected = oracle_compress(profile, EmbeddingTable(dim=4, fallback_seed=11)).to_json()
+        for _ in range(2):
+            assert compress(profile, table).to_json() == expected
+            assert len(table._contexts) == 5
+
+    def test_gather_memory_is_bounded_by_the_block(self):
+        # 200 contexts at dim 4096: gathered whole they would take
+        # 200 * 3 * 4096 * 8 bytes, about 20 MB
+        table = EmbeddingTable(dim=4096, fallback_seed=1)
+        profile = TransitionProfile("r", {PathContext(f"t{i % 10}", f"P{i}", f"u{i % 7}"): i + 1
+                                          for i in range(200)})
+        first = compress(profile, table, normalize=False)
+        tracemalloc.start()
+        try:
+            second = compress(profile, table, normalize=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second.values.tobytes() == first.values.tobytes()
+        assert peak < 3 * compressor._BLOCK_FLOATS * 8
 
 
 class TestEyeVectorJson:

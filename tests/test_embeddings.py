@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_fallback_vector, oracle_table_row
 
+from eye2vec import embeddings
 from eye2vec.embeddings import (
     DEFAULT_DIM,
     MAX_DIM,
@@ -286,6 +287,54 @@ class TestFallbackMemo:
         assert table != EmbeddingTable(dim=2, entries={"tok:a": [1.0, 0.0]})
         assert hash(table) == hash(table)
         assert table in {table} and copy_of not in {table}
+
+
+class TestContextMemo:
+    CONTEXTS = [PathContext("a", "P", "b"), PathContext("b", "P", "a"), PathContext("a", "Q", "a")]
+
+    def table(self):
+        return EmbeddingTable(dim=2, entries={"tok:a": [1.0, -0.0], "path:Q": [0.5, 2.0]},
+                              fallback_seed=3)
+
+    def test_parts_are_the_tables_own_arrays(self):
+        table = self.table()
+        for ctx in self.CONTEXTS:
+            context_vector(table, ctx)
+        assert list(table._contexts) == self.CONTEXTS
+        a, p, b = table.entries["tok:a"], table._fallbacks["path:P"], table._fallbacks["tok:b"]
+        expected = [(a, p, b), (b, p, a), (a, table.entries["path:Q"], a)]
+        for ctx, parts in zip(self.CONTEXTS, expected):
+            assert all(got is want for got, want in zip(table._contexts[ctx], parts))
+
+    def test_replace_pickle_and_deepcopy_start_empty(self):
+        table = self.table()
+        vectors = [context_vector(table, ctx).tobytes() for ctx in self.CONTEXTS]
+        others = (dataclasses.replace(table), dataclasses.replace(table, fallback_seed=3),
+                  pickle.loads(pickle.dumps(table)), copy.deepcopy(table))
+        for other in others:
+            assert other._contexts == {} and other._fallbacks == {}
+            assert [context_vector(other, ctx).tobytes() for ctx in self.CONTEXTS] == vectors
+        assert len(table._contexts) == len(self.CONTEXTS)
+
+    def test_memo_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CONTEXT_MEMO_SIZE", 4)
+        table = EmbeddingTable(dim=3, fallback_seed=9)
+        contexts = [PathContext(f"t{i}", f"P{i % 2}", "u") for i in range(7)]
+        first = [context_vector(table, ctx).tobytes() for ctx in contexts]
+        assert list(table._contexts) == contexts[:4]
+        assert [context_vector(table, ctx).tobytes() for ctx in contexts] == first
+        assert list(table._contexts) == contexts[:4]
+
+    def test_entries_are_never_touched(self):
+        table = self.table()
+        entries, arrays = table.entries, dict(table.entries)
+        before = {key: vec.tobytes() for key, vec in arrays.items()}
+        for ctx in self.CONTEXTS * 2:
+            context_vector(table, ctx)
+        assert table.entries is entries and list(entries) == list(arrays)
+        assert all(entries[key] is vec for key, vec in arrays.items())
+        assert {key: vec.tobytes() for key, vec in entries.items()} == before
+        assert not any(vec.flags.writeable for vec in entries.values())
 
 
 class TestEntriesDict:

@@ -48,6 +48,21 @@ def test_context_hashes_its_own_string(source, path, target):
     assert ctx.hash == fnv1a64(ctx.context_string)
 
 
+@given(source=_CONTEXT_TEXT, path=_CONTEXT_TEXT, target=_CONTEXT_TEXT)
+def test_equal_contexts_hash_equal(source, path, target):
+    ctx, twin = PathContext(source, path, target), PathContext(source, path, target)
+    assert ctx == twin and ctx is not twin
+    assert ctx.__hash__() == ctx.hash and hash(ctx) == hash(twin)
+
+
+def test_contexts_that_render_one_string_stay_two_keys():
+    first, second = PathContext("x", "P", "y,P,z"), PathContext("x,P,y", "P", "z")
+    assert first.context_string == second.context_string and hash(first) == hash(second)
+    assert first != second
+    counts = {first: 1, second: 2}
+    assert len(counts) == 2 and (counts[first], counts[second]) == (1, 2)
+
+
 def test_context_hash_is_not_an_argument():
     with pytest.raises(TypeError):
         PathContext("a", "P", "b", 5)
