@@ -6,7 +6,7 @@ Summation runs in the profile's canonical order, by context string, so
 outputs are bit-stable.
 
 ``compress`` reads each context's three part vectors from the table's
-context memo (see ``embeddings``) and gathers a block of contexts into one
+memo (see ``embeddings``) and gathers a block of contexts into one
 ``(k, 3 * dim)`` matrix with a single ``np.concatenate``. It scales the
 block in place by the column of ``count / total`` weights and adds its rows
 to the sum one at a time, in entry order, starting from zeros. So every
@@ -20,8 +20,10 @@ at least one row, so the gather needs O(block + 3 * dim) memory whatever
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,23 +34,34 @@ from .linker import TransitionProfile
 _BLOCK_FLOATS = 2**18
 
 
-@dataclass
+@dataclass(frozen=True)
 class EyeVector:
+    """One recording's eye vector. It is checked where it is made and cannot
+    be changed after: ``values`` is a read-only array and ``meta`` a
+    read-only mapping of the vector's own."""
+
     recording_id: str
     dim: int
     values: np.ndarray
     normalized: bool
-    meta: dict
+    meta: Mapping
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.dim,):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.shape != (self.dim,):
             raise ValueError(f"values must have length {self.dim}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if self.normalized and abs(float(np.linalg.norm(self.values)) - 1.0) > 1e-9:
+        if self.normalized and abs(float(np.linalg.norm(values)) - 1.0) > 1e-9:
             raise ValueError("vector is marked normalized but its L2 norm is not 1")
-        self.values.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the vector is made again from a dict.
+        return type(self), (self.recording_id, self.dim, self.values, self.normalized,
+                            dict(self.meta))
 
     def to_json_dict(self) -> dict:
         return {
@@ -79,7 +92,7 @@ class EyeVector:
             # exact types: a bool is an int, and numpy would convert "1.5"
             if not {float, int}.issuperset(map(type, values)):
                 raise TypeError("values must be JSON numbers")
-            return cls(recording_id, dim, values, normalized, dict(meta))
+            return cls(recording_id, dim, values, normalized, meta)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(1, f"bad eye-vector JSON: {exc}") from None
 

@@ -11,21 +11,19 @@ reassigned; ``dataclasses.replace`` makes a new table. Each table keeps
 its entries in a dict of its own, never the one it was given, and shows
 them only as a read-only ``entries`` mapping, so every entry is one that
 passed the checks. A fallback vector's splitmix64 stream is generated as
-one ``np.uint64`` array, and each table computes it once per absent key:
-``lookup`` keeps it in the table's private memo, keyed by the key alone.
-The memo costs one ``dim``-float vector per distinct absent key for the
-table's lifetime; it never enters ``entries``.
+one ``np.uint64`` array; it never enters ``entries``.
 
-Each table also memoises, per ``PathContext``, the tuple of its three part
-vectors (source token, path, target token), so ``compress`` and
-``context_vector`` make no key string and no ``lookup`` for a context seen
-before. The parts are the very arrays ``lookup`` returns, an ``entries``
-value or a fallback, never copies, so the bytes are those of three lookups
-and an entry costs one 3-tuple and its dict slot (about 90 bytes), not
-``3 * dim`` floats. The memo holds at most ``_CONTEXT_MEMO_SIZE`` (16,384)
-contexts, about 1.5 MB besides the contexts it keeps alive; once full, a
-new context is looked up as on a miss and not stored. Both memos start
-empty in a table made by ``dataclasses.replace`` or unpickled.
+Each table keeps one private memo: a fallback vector under its key, and a
+``PathContext``'s three part vectors (source token, path, target token)
+under the context, so ``compress`` and ``context_vector`` make no key
+string and no ``lookup`` for a context seen before. The parts are the very
+arrays ``lookup`` returns, an ``entries`` value or a fallback, never copies,
+so the bytes are those of three lookups. Every entry is charged
+``3 * dim`` floats, and the memo stores only while the charge is below
+``_MEMO_FLOATS`` (2**21, 16 MiB), so it never holds more than that at any
+``dim``; once full, a key or context is computed as on a miss and not
+stored. The memo starts empty in a table made by ``dataclasses.replace``,
+unpickled or deep-copied.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ DEFAULT_SEED = 42
 # allocated; an eye vector then holds at most 3 * MAX_DIM floats (1.5 MiB).
 MAX_DIM = 65536
 _NAMESPACES = ("tok:", "path:")  # every key starts with one of these
-_CONTEXT_MEMO_SIZE = 16384
+_MEMO_FLOATS = 2**21  # a table memo's budget, 3 * dim floats an entry (16 MiB)
 
 
 def check_dim(dim: int) -> None:
@@ -65,9 +63,8 @@ class EmbeddingTable:
     dim: int
     entries: Mapping[str, np.ndarray] = field(default_factory=dict)
     fallback_seed: int = DEFAULT_SEED
-    _fallbacks: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _contexts: dict[PathContext, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False)
+    # fallbacks by key and context parts by PathContext; see the module docstring
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
@@ -148,17 +145,19 @@ def fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray:
 def lookup(table: EmbeddingTable, key: str) -> np.ndarray:
     """Stored vector for ``key``, or the seeded fallback when absent.
 
-    A fallback is computed once per table and returned as the same read-only
-    array on every later lookup.
+    A fallback is a read-only array, computed once per key while the
+    table's memo has room and then returned as the same array.
     """
     if not key.startswith(_NAMESPACES):
         raise ValueError(f"key {key!r} must be namespaced 'tok:' or 'path:'")
     stored = table.entries.get(key)
     if stored is not None:
         return stored
-    vector = table._fallbacks.get(key)
+    vector = table._memo.get(key)
     if vector is None:
-        vector = table._fallbacks[key] = fallback_vector(key, table.dim, table.fallback_seed)
+        vector = fallback_vector(key, table.dim, table.fallback_seed)
+        if len(table._memo) * 3 * table.dim < _MEMO_FLOATS:
+            table._memo[key] = vector
     return vector
 
 
@@ -166,16 +165,16 @@ def _context_parts(
     table: EmbeddingTable, context: PathContext
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (source token, path, target token) vectors of ``context``, as the
-    read-only arrays ``lookup`` returns, kept in the table's context memo."""
-    parts = table._contexts.get(context)
+    read-only arrays ``lookup`` returns, kept in the table's memo."""
+    parts = table._memo.get(context)
     if parts is None:
         parts = (
             lookup(table, "tok:" + context.source_text),
             lookup(table, "path:" + context.path_encoding),
             lookup(table, "tok:" + context.target_text),
         )
-        if len(table._contexts) < _CONTEXT_MEMO_SIZE:
-            table._contexts[context] = parts
+        if len(table._memo) * 3 * table.dim < _MEMO_FLOATS:
+            table._memo[context] = parts
     return parts
 
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
@@ -75,9 +77,10 @@ class TransitionProfile:
     """One recording's transition count per path context.
 
     ``entries`` is stored sorted by context string, the canonical order that
-    ``compress`` and ``content_hash`` read, whatever order it was given in;
-    ``total_transitions`` is the sum of its counts. A context's ratio,
-    ``count / total_transitions``, is computed where it is used.
+    ``compress`` and ``content_hash`` read, whatever order it was given in,
+    as a read-only mapping of the profile's own; ``total_transitions`` is
+    the sum of its counts. A context's ratio, ``count / total_transitions``,
+    is computed where it is used.
 
     Two distinct contexts render one string when a leaf text holds commas
     (``x``, ``P``, ``y,P,z`` and ``x,P,y``, ``P``, ``z``), so ties are broken
@@ -85,7 +88,7 @@ class TransitionProfile:
     """
 
     recording_id: str
-    entries: dict[PathContext, int] = field(default_factory=dict)
+    entries: Mapping[PathContext, int] = field(default_factory=dict)
     total_transitions: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -93,8 +96,12 @@ class TransitionProfile:
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"a count must be a positive integer, not {count!r}")
         entries = dict(sorted(self.entries.items(), key=_canonical))
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "total_transitions", sum(entries.values()))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the profile is made again from a dict.
+        return type(self), (self.recording_id, dict(self.entries))
 
     @property
     def is_empty(self) -> bool:

@@ -17,7 +17,7 @@ oracle is ``read_fixations``'s former row loop, which builds one
 statements per byte. The tokenizer and parser oracles are ``tokenize`` and
 the parser as they were when every token carried its own ``SourceSpan``.
 The compress oracle is ``compress``'s former loop: three ``lookup`` calls,
-one concatenate and one weighted add per context, with no context memo.
+one concatenate and one weighted add per context, with no memoised parts.
 """
 
 from __future__ import annotations

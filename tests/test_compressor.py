@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -154,12 +156,16 @@ def _tables_and_profiles(draw):
 class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=_tables_and_profiles(), normalize=st.booleans(),
-           block_floats=st.none() | st.integers(1, 60))
-    def test_bit_equal_to_per_context_loop(self, case, normalize, block_floats):
+           block_floats=st.none() | st.integers(1, 60),
+           memo_floats=st.none() | st.integers(1, 60))
+    def test_bit_equal_to_per_context_loop(self, case, normalize, block_floats, memo_floats):
         table, profile = case
-        expected = _outcome(oracle_compress, profile, table, normalize)
+        # the oracle reads a copy of the table, so compress starts from an empty memo
+        expected = _outcome(oracle_compress, profile, dataclasses.replace(table), normalize)
         block_floats = block_floats or compressor._BLOCK_FLOATS
-        with mock.patch.object(compressor, "_BLOCK_FLOATS", block_floats):
+        memo_floats = memo_floats or embeddings._MEMO_FLOATS
+        with mock.patch.object(compressor, "_BLOCK_FLOATS", block_floats), \
+                mock.patch.object(embeddings, "_MEMO_FLOATS", memo_floats):
             cold = _outcome(compress, profile, table, normalize)
             warm = _outcome(compress, profile, table, normalize)
         assert cold == warm == expected
@@ -181,14 +187,18 @@ class TestContextMemo:
         assert calls == [] and second.to_json() == first.to_json()
 
     def test_outputs_unchanged_past_the_bound(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "_CONTEXT_MEMO_SIZE", 5)
-        table = EmbeddingTable(dim=4, fallback_seed=11)
+        monkeypatch.setattr(embeddings, "_MEMO_FLOATS", 60)  # 5 entries of 3 * 4 floats
+        table = EmbeddingTable(dim=4, entries={"tok:z": [0.0] * 4, "path:Z": [-0.0] * 4},
+                               fallback_seed=11)
         profile = TransitionProfile("r", {PathContext(f"t{i}", "P", f"u{i % 4}"): i + 1
                                           for i in range(9)})
-        expected = oracle_compress(profile, EmbeddingTable(dim=4, fallback_seed=11)).to_json()
+        zero = TransitionProfile("z", {PathContext("z", "Z", "z"): 2})
+        expected = oracle_compress(profile, dataclasses.replace(table)).to_json()
         for _ in range(2):
             assert compress(profile, table).to_json() == expected
-            assert len(table._contexts) == 5
+            assert len(table._memo) == 5
+            with pytest.raises(ZeroVectorError):
+                compress(zero, table)
 
     def test_gather_memory_is_bounded_by_the_block(self):
         # 200 contexts at dim 4096: gathered whole they would take
@@ -205,6 +215,38 @@ class TestContextMemo:
             tracemalloc.stop()
         assert second.values.tobytes() == first.values.tobytes()
         assert peak < 3 * compressor._BLOCK_FLOATS * 8
+
+
+class TestEyeVectorValue:
+    def test_fields_cannot_be_assigned(self, two_context_table):
+        vector = compress(TransitionProfile("r", {CTX_AB: 1}), two_context_table)
+        text = vector.to_json()
+        for name, value in (("recording_id", "s"), ("dim", 5), ("values", [0.0] * 24),
+                            ("normalized", False), ("meta", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vector, name, value)
+        with pytest.raises(ValueError):
+            vector.values[0] = 1.0
+        assert vector.to_json() == text
+
+    def test_meta_cannot_be_changed(self):
+        given = {"source": "s"}
+        vector = EyeVector("r", 1, [1.0], True, given)
+        with pytest.raises(TypeError):
+            vector.meta["source"] = "t"
+        with pytest.raises(TypeError):
+            vector.meta["other"] = 1
+        given["source"] = "t"
+        assert dict(vector.meta) == {"source": "s"}
+
+    def test_pickle_round_trip(self, two_context_table):
+        vector = compress(TransitionProfile("r", {CTX_AB: 3, CTX_BC: 2}), two_context_table)
+        for back in (pickle.loads(pickle.dumps(vector)), dataclasses.replace(vector)):
+            assert back.to_json() == vector.to_json()
+            assert back.values.tobytes() == vector.values.tobytes()
+            assert not back.values.flags.writeable
+            with pytest.raises(TypeError):
+                back.meta["total_transitions"] = 0
 
 
 class TestEyeVectorJson:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -300,11 +301,11 @@ class TestContextMemo:
         table = self.table()
         for ctx in self.CONTEXTS:
             context_vector(table, ctx)
-        assert list(table._contexts) == self.CONTEXTS
-        a, p, b = table.entries["tok:a"], table._fallbacks["path:P"], table._fallbacks["tok:b"]
+        assert list(table._memo) == ["path:P", "tok:b", *self.CONTEXTS]
+        a, p, b = table.entries["tok:a"], table._memo["path:P"], table._memo["tok:b"]
         expected = [(a, p, b), (b, p, a), (a, table.entries["path:Q"], a)]
         for ctx, parts in zip(self.CONTEXTS, expected):
-            assert all(got is want for got, want in zip(table._contexts[ctx], parts))
+            assert all(got is want for got, want in zip(table._memo[ctx], parts))
 
     def test_replace_pickle_and_deepcopy_start_empty(self):
         table = self.table()
@@ -312,18 +313,28 @@ class TestContextMemo:
         others = (dataclasses.replace(table), dataclasses.replace(table, fallback_seed=3),
                   pickle.loads(pickle.dumps(table)), copy.deepcopy(table))
         for other in others:
-            assert other._contexts == {} and other._fallbacks == {}
+            assert other._memo == {}
             assert [context_vector(other, ctx).tobytes() for ctx in self.CONTEXTS] == vectors
-        assert len(table._contexts) == len(self.CONTEXTS)
+        assert len(table._memo) == len(self.CONTEXTS) + 2
 
     def test_memo_stops_growing_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "_CONTEXT_MEMO_SIZE", 4)
-        table = EmbeddingTable(dim=3, fallback_seed=9)
+        # an entry is charged 3 * dim = 9 floats, so a budget admits
+        # ceil(budget / 9) entries: fallbacks and contexts alike
         contexts = [PathContext(f"t{i}", f"P{i % 2}", "u") for i in range(7)]
-        first = [context_vector(table, ctx).tobytes() for ctx in contexts]
-        assert list(table._contexts) == contexts[:4]
-        assert [context_vector(table, ctx).tobytes() for ctx in contexts] == first
-        assert list(table._contexts) == contexts[:4]
+        keys = ["tok:t0", "path:P5", "tok:x", "tok:u"]
+        full = EmbeddingTable(dim=3, entries={"tok:u": [0.0, 1.0, -0.0]}, fallback_seed=9)
+        vectors = [context_vector(full, ctx).tobytes() for ctx in contexts]
+        fallbacks = [lookup(full, key).tobytes() for key in keys]
+        assert len(full._memo) == 18
+        for budget in (1, 9, 10, 20, 40, 152):
+            monkeypatch.setattr(embeddings, "_MEMO_FLOATS", budget)
+            table = dataclasses.replace(full)
+            for _ in range(2):
+                assert [context_vector(table, ctx).tobytes() for ctx in contexts] == vectors
+                assert [lookup(table, key).tobytes() for key in keys] == fallbacks
+                assert list(table._memo) == list(full._memo)[: math.ceil(budget / 9)]
+                with pytest.raises(ValueError, match="namespaced"):
+                    lookup(table, "x")
 
     def test_entries_are_never_touched(self):
         table = self.table()

@@ -1,10 +1,15 @@
-"""Every input file is bounded by ``MAX_INPUT_BYTES``, read or not."""
+"""Every input file is bounded by ``MAX_INPUT_BYTES``, read or not, and
+what a table memoises by ``_MEMO_FLOATS``, whatever ``dim`` it admits."""
 
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import eye2vec
 from eye2vec import errors
 from eye2vec.cli import main
 from eye2vec.compressor import read_eye_vector
@@ -75,3 +80,30 @@ def test_text_is_decoded_as_open_does(tmp_path):
     for newline in (None, ""):
         with open(path, encoding="utf-8", newline=newline) as handle:
             assert errors._read_input(path, newline) == handle.read()
+
+
+MANY_FALLBACKS = textwrap.dedent(
+    """
+    from eye2vec import EmbeddingTable, PathContext, TransitionProfile, compress
+
+    table = EmbeddingTable(dim=65536)
+    # 1,002 distinct absent keys: 512 KB each if every fallback were kept
+    counts = {PathContext(f"s{i}", f"P{i}", f"t{i}"): 1 for i in range(334)}
+    compress(TransitionProfile("r", counts), table)
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    """
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+def test_fallbacks_at_the_largest_dim_stay_within_the_memo_budget():
+    # About 500 MB of fallback vectors would be kept without the budget;
+    # with it the memo holds at most 16 MiB. The child reads its own peak
+    # RSS: a spawned child's ru_maxrss can include the spawning process's.
+    src = str(Path(eye2vec.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{MANY_FALLBACKS}"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(result.stdout) < 100 * 1024  # peak KiB

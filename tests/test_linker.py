@@ -280,6 +280,22 @@ class TestProfileValue:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(profile, name, value)
 
+    def test_entries_cannot_be_changed(self):
+        ab, ba = PathContext("a", "P", "b"), PathContext("b", "P", "a")
+        given = {ab: 2}
+        profile = TransitionProfile("r", given)
+        digest = profile.content_hash()
+        with pytest.raises(TypeError):
+            profile.entries[ab] += 1000
+        with pytest.raises(TypeError):
+            profile.entries[ba] = 1
+        given[ab] = 7
+        assert dict(profile.entries) == {ab: 2} and profile.total_transitions == 2
+        assert profile.content_hash() == digest
+        other = dataclasses.replace(profile, recording_id="s")
+        assert dict(other.entries) == {ab: 2} and other.total_transitions == 2
+        assert dataclasses.replace(profile) == profile
+
     def test_pickle_round_trip(self, accumulator_root):
         recording = simulate(accumulator_root, Strategy("defuse", jitter_cols=1, seed=3), 40)
         profile = build_profile(recording, accumulator_root)
