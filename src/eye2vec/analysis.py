@@ -17,6 +17,14 @@ from .errors import DimMismatch, EmptyClass, InsufficientData, InvalidK, ZeroVec
 from .hashing import SplitMix64
 
 MAX_ITERS = 100
+# Rows whose best two scores lie within this gap are decided one cosine at a time.
+_MARGIN = 1e-9
+# A held-out row's class remainder at most this times the class size n may be
+# a rounded zero: its squared norm, taken from dot products, rounds by about
+# (dim + n) * n * n * eps.
+_NEAR_ZERO = 1e-4
+# Squared norms between these bounds keep ``_cosine``'s products normal floats.
+_NORMAL_SQUARES = (1e-300, 1e300)
 
 
 def _stack(vectors) -> np.ndarray:
@@ -211,39 +219,100 @@ def _nearest(row: np.ndarray, centroids: list[tuple[str, np.ndarray]]) -> str:
     return best_label
 
 
+def _clear_best(scores: np.ndarray, uu: np.ndarray, slack) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best column of ``scores``, and whether that choice is clear.
+
+    A choice is clear when the row's scores are finite, the best beats the
+    runner-up by more than ``slack``, and the raw row's squared norm ``uu``
+    lies well inside the normal float range, where ``_nearest`` rounds its
+    cosines to within a few ulps of these. A row that is not clear is
+    decided by ``_nearest``, so near-ties and extreme magnitudes keep its
+    exact scores and its tie rule.
+    """
+    top = np.sort(scores, axis=1)
+    clear = (np.isfinite(top).all(axis=1) & (top[:, -1] - top[:, -2] > slack)
+             & (uu > _NORMAL_SQUARES[0]) & (uu < _NORMAL_SQUARES[1]))
+    return np.argmax(scores, axis=1), clear
+
+
 def nearest_centroid_predict(train: LabeledSet, test: Sequence[EyeVector]) -> list[str]:
     """Label each test vector with its most cosine-similar class centroid.
 
     Training vectors are normalized before the mean is taken, so rescaling
     any of them cannot change a prediction. Ties go to the label that sorts
-    first.
+    first. One product scores every test vector against every centroid;
+    a vector whose two best scores lie within ``_MARGIN`` is scored again
+    by ``_nearest``, one exact cosine per centroid, so near-ties resolve as
+    they would one vector at a time.
     """
     labels = np.array([label for _, label in train.items])
     unit = _unit_rows(_stack([v for v, _ in train.items]))
     centroids = _centroids(unit, labels, np.ones(len(labels), dtype=bool))
-    # Stacking each test vector with a centroid checks its length.
-    return [_nearest(_stack([vector, centroids[0][1]])[0], centroids) for vector in test]
+    # Stacking the test vectors with a centroid checks their lengths.
+    rows = _stack([*test, centroids[0][1]])[:-1]
+    uu = np.einsum("ij,ij->i", rows, rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = rows @ np.stack([c for _, c in centroids]).T / np.sqrt(uu)[:, None]
+    best, clear = _clear_best(scores, uu, _MARGIN)
+    return [centroids[b][0] if ok else _nearest(row, centroids)
+            for row, b, ok in zip(rows, best, clear)]
 
 
 def leave_one_out(train: LabeledSet) -> float:
-    """Accuracy of nearest-centroid prediction with each item held out once.
+    """Accuracy of nearest-centroid prediction with each item held out once."""
+    predicted = _held_out_predictions(train)
+    return sum(p == label for p, (_, label) in zip(predicted, train.items)) / len(train.items)
 
-    Each fold masks one row out of the same unit matrix. Only the held-out
-    row's class changes between folds; every other class keeps its rows in
-    the same order, so its full-data centroid has the fold's bits.
+
+def _held_out_predictions(train: LabeledSet) -> list[str]:
+    """Each item's label as predicted from the others, in item order.
+
+    Holding a row out changes only its own class's centroid: the direction
+    of that class's sum of unit rows minus the row. So each class is summed
+    once, and one product of the unit rows scores every row against the
+    full-data centroids and the class sums. From it, the remainder
+    ``r = s - u`` of a row ``u`` in a class with sum ``s`` has
+    ``|r|**2 = s.s - 2 u.s + u.u`` and own-class score ``(u.s - u.u) / |r|``;
+    no fold copies a row. Two kinds of row are decided by the per-fold code
+    instead, which masks the row out, takes its class's mean again and
+    labels it with ``_nearest``:
+
+    - a row whose two best scores lie within ``_MARGIN`` times the square of
+      its class size over ``|r|``, the factor by which the rounding of the
+      own-class score grows as the remainder cancels, so near-ties keep
+      their exact scores and tie rule;
+    - a row whose remainder is within rounding of zero, ``|r|`` at most
+      ``_NEAR_ZERO`` times the class size, where the per-fold code may
+      raise ``ZeroVectorError``.
+
+    The per-fold rows run in order after the others, none of which can
+    raise, so the labels and any ``ZeroVectorError`` are those of running
+    every fold.
     """
     labels = np.array([label for _, label in train.items])
-    if np.any(np.unique(labels, return_counts=True)[1] < 2):
+    names, index, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    if np.any(counts < 2):
         raise InsufficientData("leave-one-out needs at least 2 items per label")
     data = _stack([v for v, _ in train.items])
     unit = _unit_rows(data)
-    keep = np.ones(len(labels), dtype=bool)
-    full = _centroids(unit, labels, keep)
-    correct = 0
-    for i, (_, label) in enumerate(train.items):
+    full = _centroids(unit, labels, np.ones(len(labels), dtype=bool))
+    rows, k = np.arange(len(labels)), len(names)
+    sums = (index == np.arange(k)[:, None]).astype(np.float64) @ unit
+    products = unit @ np.concatenate([np.stack([c for _, c in full]), sums]).T
+    scores, toward_sum = products[:, :k], products[rows, k + index]
+    self_dots = np.einsum("ij,ij->i", unit, unit)
+    rest_norms = np.sqrt(np.maximum(
+        np.einsum("ij,ij->i", sums, sums)[index] - 2.0 * toward_sum + self_dots, 0.0))
+    own_counts = counts[index]
+    with np.errstate(all="ignore"):
+        scores[rows, index] = (toward_sum - self_dots) / rest_norms
+        best, clear = _clear_best(scores, np.einsum("ij,ij->i", data, data),
+                                  _MARGIN * (own_counts / rest_norms) ** 2)
+    clear &= rest_norms > _NEAR_ZERO * own_counts
+    predicted = names[best].tolist()
+    for i in np.flatnonzero(~clear):
+        keep = labels == labels[i]
         keep[i] = False
-        own = _centroids(unit, labels, keep & (labels == label))[0]
-        fold = [own if name == label else (name, c) for name, c in full]
-        correct += _nearest(data[i], fold) == label
-        keep[i] = True
-    return correct / len(train.items)
+        own = _centroids(unit, labels, keep)[0]
+        predicted[i] = _nearest(data[i], [own if name == own[0] else (name, c) for name, c in full])
+    return predicted

@@ -9,8 +9,10 @@ oracle-computed context strings. The per-transition profile builder is the
 linker's former loop, kept verbatim: it builds and hashes one path context
 for every transition, where the linker builds one per distinct leaf pair.
 The analysis oracles take one ``np.dot`` per pair and group training vectors
-by label in a dict, fold by fold. The fallback-vector oracle steps the
-scalar splitmix64 generator once per component, and the table-row oracle is
+by label in a dict, fold by fold; the per-fold and per-vector oracles are
+``leave_one_out`` and ``nearest_centroid_predict`` as they were before their
+matrix paths, one ``_nearest`` call per row. The fallback-vector oracle steps
+the scalar splitmix64 generator once per component, and the table-row oracle is
 ``load_table``'s former per-component ``float()`` loop. The fixation reader
 oracle is ``read_fixations``'s former row loop, which builds one
 ``Fixation`` per row, and the FNV oracle is ``fnv1a64``'s former two
@@ -30,9 +32,17 @@ from typing import Callable
 
 import numpy as np
 
+from eye2vec.analysis import LabeledSet, _centroids, _cosine, _nearest, _stack, _unit_rows
 from eye2vec.compressor import EyeVector
 from eye2vec.embeddings import EmbeddingTable, lookup
-from eye2vec.errors import EmptyProfileError, FormatError, LexError, ParseError, ZeroVectorError
+from eye2vec.errors import (
+    EmptyProfileError,
+    FormatError,
+    InsufficientData,
+    LexError,
+    ParseError,
+    ZeroVectorError,
+)
 from eye2vec.gaze import GRID_HEADER, PIXEL_HEADER, Fixation, GridPos, PixelPos, Recording
 from eye2vec.hashing import FNV_OFFSET_BASIS, FNV_PRIME, SplitMix64, fnv1a64
 from eye2vec.linker import (
@@ -272,6 +282,42 @@ def oracle_leave_one_out(items: list[tuple[np.ndarray, str]]) -> float:
         for i, (values, label) in enumerate(items)
     )
     return correct / len(items)
+
+
+def oracle_held_out_per_fold(train: LabeledSet) -> list[tuple[str, list[float]]]:
+    """``leave_one_out``'s former loop: one fold per row, each masking the row
+    out of the unit matrix, taking its class's mean again and labelling the
+    row with ``_nearest``. Gives each row's label and its fold's cosines, in
+    label order."""
+    labels = np.array([label for _, label in train.items])
+    if np.any(np.unique(labels, return_counts=True)[1] < 2):
+        raise InsufficientData("leave-one-out needs at least 2 items per label")
+    data = _stack([v for v, _ in train.items])
+    unit = _unit_rows(data)
+    keep = np.ones(len(labels), dtype=bool)
+    full = _centroids(unit, labels, keep)
+    folds = []
+    for i, (_, label) in enumerate(train.items):
+        keep[i] = False
+        own = _centroids(unit, labels, keep & (labels == label))[0]
+        fold = [own if name == label else (name, c) for name, c in full]
+        uu = float(np.dot(data[i], data[i]))
+        folds.append((_nearest(data[i], fold), [_cosine(data[i], uu, c) for _, c in fold]))
+        keep[i] = True
+    return folds
+
+
+def oracle_leave_one_out_per_fold(train: LabeledSet) -> float:
+    folds = oracle_held_out_per_fold(train)
+    return sum(p == label for (p, _), (_, label) in zip(folds, train.items)) / len(train.items)
+
+
+def oracle_predict_per_vector(train: LabeledSet, test: list) -> list[str]:
+    """``nearest_centroid_predict``'s former loop: ``_nearest`` per test vector."""
+    labels = np.array([label for _, label in train.items])
+    unit = _unit_rows(_stack([v for v, _ in train.items]))
+    centroids = _centroids(unit, labels, np.ones(len(labels), dtype=bool))
+    return [_nearest(_stack([vector, centroids[0][1]])[0], centroids) for vector in test]
 
 
 def oracle_fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray:

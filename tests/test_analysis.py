@@ -1,12 +1,22 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_distance_matrix, oracle_leave_one_out, oracle_nearest_centroid
+import oracles
+from oracles import (
+    oracle_distance_matrix,
+    oracle_held_out_per_fold,
+    oracle_leave_one_out,
+    oracle_leave_one_out_per_fold,
+    oracle_nearest_centroid,
+    oracle_predict_per_vector,
+)
 
+from eye2vec import analysis
 from eye2vec.analysis import (
     LabeledSet,
     cosine_similarity,
@@ -310,3 +320,120 @@ class TestAgainstOracle:
             oracle_nearest_centroid, items, rows
         )
         assert _outcome(leave_one_out, train) == _outcome(oracle_leave_one_out, items)
+
+
+@st.composite
+def cancelling_cohorts(draw):
+    """``cohorts()`` plus a class "Z" of pairs ``a * u, -b * u`` of earlier
+    rows, and perhaps one more row: its unit rows cancel in the whole class,
+    or once that one row is held out. Scales of 3 may leave rounding residues."""
+    rows, labels = draw(cohorts())
+    zeros = []
+    for _ in range(draw(st.integers(1, 3))):
+        u = rows[draw(st.integers(0, len(rows) - 1))]
+        scale = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+        zeros += [draw(scale) * u, -draw(scale) * u]
+    if draw(st.booleans()):
+        zeros.append(rows[draw(st.integers(0, len(rows) - 1))])
+    for row in zeros:
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, row)
+        labels.insert(at, "Z")
+    return rows, labels
+
+
+def _labeled(rows, labels):
+    return LabeledSet([(ev(f"v{i}", row), label)
+                       for i, (row, label) in enumerate(zip(rows, labels))])
+
+
+def _where_it_raises(module, function, *args):
+    """``function(*args)``, or the message of the ``ZeroVectorError`` it raised
+    and the mask of the last ``_centroids`` call that ``module`` made."""
+    masks, centroids = [], analysis._centroids
+
+    def spy(unit, labels, keep):
+        masks.append(keep.copy())
+        return centroids(unit, labels, keep)
+
+    with mock.patch.object(module, "_centroids", spy):
+        try:
+            return function(*args)
+        except ZeroVectorError as exc:
+            return str(exc), masks[-1].tolist() if masks else None
+
+
+MARGINS = [analysis._MARGIN, 0.0, math.inf]
+
+
+class TestMatrixPaths:
+    """The one-product paths of ``leave_one_out`` and ``nearest_centroid_predict``
+    against the per-row code they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cohort=cohorts(), margin=st.sampled_from([analysis._MARGIN, math.inf]))
+    def test_equal_to_per_row_code(self, cohort, margin):
+        train = _labeled(*cohort)
+        test = [v for v, _ in train.items]
+        with mock.patch.object(analysis, "_MARGIN", margin), \
+                mock.patch.object(analysis, "_nearest", wraps=analysis._nearest) as nearest:
+            accuracy = _outcome(leave_one_out, train)
+            predictions = _outcome(nearest_centroid_predict, train, test)
+        assert accuracy == _outcome(oracle_leave_one_out_per_fold, train)
+        assert predictions == _outcome(oracle_predict_per_vector, train, test)
+        if margin == math.inf and ZeroVectorError not in (accuracy, predictions):
+            assert nearest.call_count == 2 * len(test)  # every row takes the per-row code
+
+    @settings(max_examples=150, deadline=None)
+    @given(cohort=cohorts())
+    def test_at_zero_margin_only_near_ties_differ(self, cohort):
+        train = _labeled(*cohort)
+        expected = _outcome(oracle_held_out_per_fold, train)
+        with mock.patch.object(analysis, "_MARGIN", 0.0):
+            got = _outcome(analysis._held_out_predictions, train)
+        if expected is ZeroVectorError or got is ZeroVectorError:
+            assert got == expected
+            return
+        for label, (want, cosines) in zip(got, expected):
+            top = sorted(cosines)
+            assert label == want or top[-1] - top[-2] <= analysis._MARGIN
+
+    @settings(max_examples=150, deadline=None)
+    @given(cohort=cancelling_cohorts(), margin=st.sampled_from(MARGINS))
+    def test_cancelling_class_raises_where_the_per_row_code_does(self, cohort, margin):
+        train = _labeled(*cohort)
+        test = [v for v, _ in train.items]
+        with mock.patch.object(analysis, "_MARGIN", margin):
+            got = [_where_it_raises(analysis, leave_one_out, train),
+                   _where_it_raises(analysis, nearest_centroid_predict, train, test)]
+        expected = [_where_it_raises(oracles, oracle_leave_one_out_per_fold, train),
+                    _where_it_raises(oracles, oracle_predict_per_vector, train, test)]
+        for outcome, want in zip(got, expected):
+            # at margin 0 near-ties may differ (see above), but never a raise
+            if margin or isinstance(outcome, tuple) or isinstance(want, tuple):
+                assert outcome == want
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_a_held_out_row_whose_class_cancels_raises(self, margin):
+        # Holding out w leaves u and -u, whose per-fold mean is exactly zero;
+        # the remainder's squared norm from the products may round to a tiny
+        # positive value instead, which must not let the matrix path decide.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            u, w = rng.standard_normal(5), rng.standard_normal(5)
+            rows = [u, -u, w, rng.standard_normal(5), rng.standard_normal(5)]
+            train = _labeled(rows, ["a", "a", "a", "b", "b"])
+            with mock.patch.object(analysis, "_MARGIN", margin), \
+                    pytest.raises(ZeroVectorError, match="cannot normalize a zero vector"):
+                leave_one_out(train)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e151])
+    def test_extreme_magnitudes_take_the_per_row_code(self, scale):
+        rng = np.random.default_rng(5)
+        rows = [scale * rng.standard_normal(4) for _ in range(8)]
+        train = _labeled(rows, ["a", "b"] * 4)
+        test = [v for v, _ in train.items]
+        with mock.patch.object(analysis, "_nearest", wraps=analysis._nearest) as nearest:
+            assert leave_one_out(train) == oracle_leave_one_out_per_fold(train)
+            assert nearest_centroid_predict(train, test) == oracle_predict_per_vector(train, test)
+        assert nearest.call_count == 16

@@ -327,6 +327,93 @@ class TestEyeVectorJson:
             )
 
 
+@pytest.fixture()
+def read_memo(monkeypatch):
+    """An empty read memo for one test; the module's own is put back after."""
+    memo: dict = {}
+    monkeypatch.setattr(compressor, "_read_memo", memo)
+    monkeypatch.setattr(compressor, "_read_memo_chars", 0)
+    return memo
+
+
+def _vector_text(recording_id: str, values, meta=None, pad: int = 0) -> str:
+    data = {"recording_id": recording_id, "dim": len(values), "normalized": False,
+            "meta": meta or {}, "values": list(values)}
+    return json.dumps(data) + " " * pad
+
+
+class TestReadMemo:
+    def test_rewritten_file_returns_the_new_vector(self, tmp_path, read_memo):
+        path = tmp_path / "v.json"
+        path.write_text(_vector_text("r", [1.0, 2.0]), encoding="utf-8")
+        assert read_eye_vector(path).values.tolist() == [1.0, 2.0]
+        path.write_text(_vector_text("r", [3.0, 4.0]), encoding="utf-8")
+        assert read_eye_vector(path).values.tolist() == [3.0, 4.0]
+        assert len(read_memo) == 2
+
+    def test_malformed_file_raises_every_time_and_is_not_stored(self, tmp_path, read_memo):
+        path = tmp_path / "v.json"
+        path.write_text('{"recording_id": "r", "dim": 2, "normalized": false, "meta": {}, '
+                        '"values": [1.0]}', encoding="utf-8")
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(FormatError) as caught:
+                read_eye_vector(path)
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+        assert read_memo == {} and compressor._read_memo_chars == 0
+
+    def test_equal_bytes_share_one_entry(self, tmp_path, read_memo):
+        text = _vector_text("r", [0.5, -0.25], {"source": "s"})
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(text, encoding="utf-8")
+        second.write_text(text, encoding="utf-8")
+        assert read_eye_vector(second) is read_eye_vector(first)
+        assert len(read_memo) == 1
+        assert compressor._read_memo_chars == len(text)
+
+    def test_text_is_keyed_as_parsed(self, tmp_path, read_memo):
+        # CRLF reads as LF, so both files parse the same text
+        text = _vector_text("r", [1.0], {"note": "a"}).replace(", ", ",\n")
+        lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+        lf.write_bytes(text.encode("utf-8"))
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert read_eye_vector(crlf) is read_eye_vector(lf)
+
+    @pytest.mark.parametrize("budget", [0, 1, 200, 500, 2**23])
+    def test_memo_stops_growing_at_its_budget(self, tmp_path, read_memo, monkeypatch, budget):
+        monkeypatch.setattr(compressor, "_READ_MEMO_CHARS", budget)
+        rng = np.random.default_rng(budget)
+        paths, texts = [], []
+        for i in range(8):
+            texts.append(_vector_text(f"r{i}", rng.standard_normal(3).tolist()))
+            paths.append(tmp_path / f"v{i}.json")
+            paths[-1].write_text(texts[-1], encoding="utf-8")
+        first = [read_eye_vector(path).to_json() for path in paths]
+        charged, stored = 0, 0
+        for text in texts:  # a text is stored while it fits in what is left
+            if charged + len(text) <= budget:
+                charged, stored = charged + len(text), stored + 1
+        assert (len(read_memo), compressor._read_memo_chars) == (stored, charged)
+        assert [read_eye_vector(path).to_json() for path in paths] == first
+        assert first == [EyeVector.from_json(text).to_json() for text in texts]
+        assert len(read_memo) == stored
+
+    def test_entry_holds_its_vector_and_key_not_its_text(self, tmp_path, read_memo):
+        # 2 MB of trailing whitespace parses to a two-float vector
+        path = tmp_path / "v.json"
+        path.write_text(_vector_text("r", [1.0, 2.0], pad=2_000_000), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            vector = read_eye_vector(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert list(read_memo.values()) == [vector]
+        assert [len(key) for key in read_memo] == [32]
+        assert held < 20_000
+
+
 def test_fixation_duplication_reproduces_eye_vector(accumulator_root, small_table):
     from eye2vec.gaze import Recording
 
