@@ -25,6 +25,7 @@ _MARGIN = 1e-9
 _NEAR_ZERO = 1e-4
 # Squared norms between these bounds keep ``_cosine``'s products normal floats.
 _NORMAL_SQUARES = (1e-300, 1e300)
+_TINY = np.finfo(np.float64).tiny
 
 
 def _stack(vectors) -> np.ndarray:
@@ -42,27 +43,61 @@ def _unit_rows(data: np.ndarray) -> np.ndarray:
 
     The norm is taken per row with ``np.dot`` so that each row gets the same
     bits as ``row / np.linalg.norm(row)``; a matrix-wide norm sums in another
-    order.
+    order. A row whose squared norm is not a normal float (it overflowed,
+    underflowed or is zero) is first divided by its largest magnitude.
     """
-    norms = np.sqrt([np.dot(row, row) for row in data])
+    with np.errstate(over="ignore"):
+        squares = np.array([np.dot(row, row) for row in data])
+    odd = ~_is_normal(squares)
+    if odd.any():
+        data = data.copy()
+        data[odd] = [_shrunk(row) for row in data[odd]]
+        squares[odd] = [np.dot(row, row) for row in data[odd]]
+    norms = np.sqrt(squares)
     if not np.all(norms):
         raise ZeroVectorError("cannot normalize a zero vector")
     return data / norms[:, None]
 
 
+def _is_normal(square):
+    """Whether a squared norm is a normal float: not zero, subnormal or inf."""
+    return (square >= _TINY) & (square < math.inf)
+
+
+def _shrunk(row: np.ndarray) -> np.ndarray:
+    """``row`` over its largest magnitude, so its squared norm lies in
+    [1, len(row)]; a zero row stays zero."""
+    top = np.abs(row).max()
+    return row / top if top else row
+
+
+def _square(row: np.ndarray) -> float:
+    """``dot(row, row)``, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.dot(row, row))
+
+
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between ``u`` and ``v``, clamped to [-1, 1]."""
     u, v = _stack([u, v])
-    return _cosine(u, float(np.dot(u, u)), v)
+    return _cosine(u, _square(u), v)
 
 
 def _cosine(u: np.ndarray, uu: float, v: np.ndarray) -> float:
-    """``cosine_similarity`` of two checked rows, given ``uu = dot(u, u)``."""
+    """``cosine_similarity`` of two checked rows, given ``uu = dot(u, u)``.
+
+    Where ``uu``, ``dot(v, v)`` or their product is not a normal float, both
+    rows are first divided by their largest magnitudes, so the result does
+    not overflow or underflow; other rows keep their exact products.
+    """
     if np.array_equal(u, v):
         if not np.any(u):
             raise ZeroVectorError("cosine similarity of a zero vector is undefined")
         return 1.0
-    vv = float(np.dot(v, v))
+    vv = _square(v)
+    if not (_is_normal(uu) and _is_normal(vv) and _is_normal(uu * vv)):
+        u, v = _shrunk(u), _shrunk(v)
+        uu, vv = float(np.dot(u, u)), float(np.dot(v, v))
     if uu == 0.0 or vv == 0.0:
         raise ZeroVectorError("cosine similarity of a zero vector is undefined")
     value = float(np.dot(u, v)) / math.sqrt(uu * vv)
@@ -210,7 +245,7 @@ def _centroids(
 
 def _nearest(row: np.ndarray, centroids: list[tuple[str, np.ndarray]]) -> str:
     """Label of the centroid most cosine-similar to the checked ``row``."""
-    uu = float(np.dot(row, row))
+    uu = _square(row)
     best_label, best_score = None, -math.inf
     for label, centroid in centroids:
         score = _cosine(row, uu, centroid)
@@ -251,7 +286,7 @@ def nearest_centroid_predict(train: LabeledSet, test: Sequence[EyeVector]) -> li
     # Stacking the test vectors with a centroid checks their lengths.
     rows = _stack([*test, centroids[0][1]])[:-1]
     uu = np.einsum("ij,ij->i", rows, rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         scores = rows @ np.stack([c for _, c in centroids]).T / np.sqrt(uu)[:, None]
     best, clear = _clear_best(scores, uu, _MARGIN)
     return [centroids[b][0] if ok else _nearest(row, centroids)

@@ -12,8 +12,19 @@ context of every leaf pair linked over the tree, self transitions included,
 so a pair that recurs across recordings is built and hashed once per tree.
 A context does not depend on ``LinkOptions``, so the pair alone is the key.
 The memo holds at most ``_PAIR_MEMO_SIZE`` (4096) pairs per tree; once
-full, new pairs are built as on a miss and not stored. At about 415 bytes a
-pair, the worst case over the 16 kept trees is about 27 MB.
+full, new pairs are built as on a miss and not stored. At about 715 bytes a
+pair, of which about 225 are the context's stored string, the worst case
+over the 16 kept trees is about 47 MB.
+
+``TransitionProfile.content_hash`` is FNV-1a over a header and one segment
+per entry. ``g ^ b`` changes only the low byte of the state ``g``, so a
+segment of ``n`` bytes takes any state ``g`` to ``g * FNV_PRIME**n +
+offset`` mod 2**64, where ``offset`` depends only on the segment and
+``g & 255``. The module-level ``_segment_memo`` keeps that step, ``(power,
+offset)``, per ``(context hash, count, low byte)``, so a recurring profile
+is hashed with one multiply per entry, not one per byte. It holds at most
+``_SEGMENT_MEMO_SIZE`` (65,536) steps, about 230 bytes each, so at most
+about 15 MB; once full, a new step is computed as on a miss and not stored.
 """
 
 from __future__ import annotations
@@ -26,13 +37,16 @@ from types import MappingProxyType
 from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
-from .hashing import fnv1a64
+from .hashing import _MASK64, _fnv1a64_step, fnv1a64
 from .minilang import _LineIndex, AstNode, LeafToken, tree_facts
 from .pathctx import PathContext, context_between
 
 DEFAULT_SNAP_TOL_COLS = 3
 
 _PAIR_MEMO_SIZE = 4096
+_SEGMENT_MEMO_SIZE = 65536
+
+_segment_memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
 _NOT_GRID = "fixation must be in grid mode; run the coordinate converter first"
 
@@ -108,10 +122,27 @@ class TransitionProfile:
         return self.total_transitions == 0
 
     def content_hash(self) -> int:
-        """Order-independent fingerprint of (recording_id, counts)."""
-        parts = [f"{self.recording_id}\x1f{self.total_transitions}"]
-        parts += [f"{ctx.hash}:{count}" for ctx, count in self.entries.items()]
-        return fnv1a64("\x1e".join(parts))
+        r"""Order-independent fingerprint of (recording_id, counts).
+
+        FNV-1a over the header ``recording_id\x1ftotal`` and then, in stored
+        order, one segment ``\x1e{ctx.hash}:{count}`` per entry. The header is
+        hashed byte by byte; each segment takes its step from
+        ``_segment_memo`` (see the module docstring), or runs the byte loop
+        once from the state it meets and stores the step while the memo has
+        room. Only entries that recur in one process gain; a one-shot CLI
+        call, or a first recording, pays for a step and a store per entry
+        on top of the byte loop and gains nothing.
+        """
+        h, memo = fnv1a64(f"{self.recording_id}\x1f{self.total_transitions}"), _segment_memo
+        for ctx, count in self.entries.items():
+            key = (ctx.hash, count, h & 255)
+            step = memo.get(key)
+            if step is None:
+                step = _fnv1a64_step(h, f"\x1e{ctx.hash}:{count}".encode("ascii"))
+                if len(memo) < _SEGMENT_MEMO_SIZE:
+                    memo[key] = step
+            h = (h * step[0] + step[1]) & _MASK64
+        return h
 
     def sorted_entries(self) -> list[tuple[PathContext, int]]:
         """(context, count) pairs by descending count, ties by context string."""

@@ -1,12 +1,13 @@
 """Path contexts: the AST route between two leaves, with a stable encoding.
 
-A context is rendered as ``source_text,path_encoding,target_text`` and
-hashes itself (FNV-1a over that string) when it is made; ``hash()`` returns
-that stored value, and equality compares the fields, because two distinct
-contexts can render one string. The encoding lists ancestor labels from the
-source leaf up to the lowest common ancestor (suffixed with an up arrow),
-the LCA label bare, and labels back down to the target leaf (prefixed with
-a down arrow). Trees hold no parent links: every call reads the tree's
+A context is rendered as ``source_text,path_encoding,target_text`` once,
+when it is made, and keeps that string as ``context_string`` beside its
+hash (FNV-1a over the string); ``hash()`` returns the stored hash, and
+equality compares the fields but not the string, because two distinct
+contexts can render one string. The encoding lists ancestor labels from
+the source leaf up to the lowest common ancestor (suffixed with an up
+arrow), the LCA label bare, and labels back down to the target leaf
+(prefixed with a down arrow). Trees hold no parent links: every call reads the tree's
 leaves, parents and depths from ``minilang.tree_facts``, which walks each
 tree once and keeps the record.
 """
@@ -33,16 +34,15 @@ class PathContext:
     path_encoding: str
     target_text: str
     hash: int = field(init=False)
+    context_string: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hash", fnv1a64(self.context_string))
+        string = f"{self.source_text},{self.path_encoding},{self.target_text}"
+        object.__setattr__(self, "context_string", string)
+        object.__setattr__(self, "hash", fnv1a64(string))
 
     def __hash__(self) -> int:
         return self.hash
-
-    @property
-    def context_string(self) -> str:
-        return f"{self.source_text},{self.path_encoding},{self.target_text}"
 
     @property
     def node_count(self) -> int:

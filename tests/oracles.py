@@ -16,7 +16,8 @@ the scalar splitmix64 generator once per component, and the table-row oracle is
 ``load_table``'s former per-component ``float()`` loop. The fixation reader
 oracle is ``read_fixations``'s former row loop, which builds one
 ``Fixation`` per row, and the FNV oracle is ``fnv1a64``'s former two
-statements per byte. The tokenizer and parser oracles are ``tokenize`` and
+statements per byte. The content-hash oracle is ``content_hash`` as it was
+before its segment memo: one joined string through the FNV oracle. The tokenizer and parser oracles are ``tokenize`` and
 the parser as they were when every token carried its own ``SourceSpan``.
 The compress oracle is ``compress``'s former loop: three ``lookup`` calls,
 one concatenate and one weighted add per context, with no memoised parts.
@@ -236,7 +237,7 @@ def oracle_compress(
         "total_transitions": total,
         "distinct_contexts": len(profile.entries),
         "embedding_seed": table.fallback_seed,
-        "created_from": str(profile.content_hash()),
+        "created_from": str(oracle_content_hash(profile)),
     }
     return EyeVector(profile.recording_id, 3 * table.dim, raw, normalize, meta)
 
@@ -340,15 +341,23 @@ def oracle_table_row(components: list[str], line_no: int) -> np.ndarray:
     return vector
 
 
-def oracle_fnv1a64(data: bytes | str) -> int:
-    """FNV-1a with the xor and the masked multiply as two statements per byte."""
+def oracle_fnv1a64(data: bytes | str, h: int = FNV_OFFSET_BASIS) -> int:
+    """FNV-1a from the state ``h`` with the xor and the masked multiply as
+    two statements per byte."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    h = FNV_OFFSET_BASIS
     for b in data:
         h ^= b
         h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def oracle_content_hash(profile: TransitionProfile) -> int:
+    """``content_hash`` as one string hashed byte by byte: the header and
+    every entry's ``hash:count``, joined by ``\x1e``."""
+    parts = [f"{profile.recording_id}\x1f{profile.total_transitions}"]
+    parts += [f"{ctx.hash}:{count}" for ctx, count in profile.entries.items()]
+    return oracle_fnv1a64("\x1e".join(parts))
 
 
 def _oracle_int(value: str, row: int, name: str) -> int:

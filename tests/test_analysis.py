@@ -437,3 +437,74 @@ class TestMatrixPaths:
             assert leave_one_out(train) == oracle_leave_one_out_per_fold(train)
             assert nearest_centroid_predict(train, test) == oracle_predict_per_vector(train, test)
         assert nearest.call_count == 16
+
+
+def _separated_cohort(dim=6, per_label=4):
+    """Rows in two clearly separated classes, each near its own axis."""
+    rng = np.random.default_rng(11)
+    rows, labels = [], []
+    for k, label in enumerate(["a", "b"]):
+        for _ in range(per_label):
+            row = 0.1 * rng.standard_normal(dim)
+            row[k] += 1.0
+            rows.append(row)
+            labels.append(label)
+    return rows, labels
+
+
+class TestExtremeMagnitudes:
+    """Rows whose squared norms overflow or underflow are rescaled by their
+    largest magnitude first, so they compare like the unscaled rows."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_parallel_rows_are_zero_apart(self, scale):
+        values = distance_matrix([ev("big", [scale, scale]), ev("one", [1.0, 1.0])]).values
+        assert abs(values[0, 1]) <= 1e-15 and values[0, 1] == values[1, 0]
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_distance_matrix_matches_the_unscaled_rows(self, scale):
+        rows, _ = _separated_cohort()
+        scaled = [row * scale if i % 2 else row for i, row in enumerate(rows)]
+        got = distance_matrix([ev(f"v{i}", row) for i, row in enumerate(scaled)]).values
+        want = distance_matrix([ev(f"v{i}", row) for i, row in enumerate(rows)]).values
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e200])
+    def test_cosine_similarity(self, scale):
+        assert cosine_similarity([scale, scale], [1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+        assert cosine_similarity([scale, 0.0], [scale, scale]) == pytest.approx(
+            0.7071067811865475, abs=1e-15)
+        assert cosine_similarity([scale, scale], [-scale, -scale]) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_a_product_of_normal_squares_that_overflows(self):
+        # each squared norm is normal, their product is not
+        assert cosine_similarity([1e100, 1e100], [1e100, 0.0]) == pytest.approx(
+            0.7071067811865475, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_a_zero_row_still_raises(self, scale):
+        with pytest.raises(ZeroVectorError):
+            cosine_similarity([0.0, 0.0], [scale, scale])
+        with pytest.raises(ZeroVectorError, match="cannot normalize a zero vector"):
+            distance_matrix([ev("big", [scale, scale]), ev("zero", [0.0, 0.0])])
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_leave_one_out_and_predict_match_the_unscaled_rows(self, scale):
+        rows, labels = _separated_cohort()
+        scaled = [row * scale if i % 3 == 0 else row for i, row in enumerate(rows)]
+        train, scaled_train = _labeled(rows, labels), _labeled(scaled, labels)
+        assert analysis._held_out_predictions(scaled_train) == labels
+        assert leave_one_out(scaled_train) == leave_one_out(train) == 1.0
+        test = [v for v, _ in scaled_train.items]
+        assert nearest_centroid_predict(scaled_train, test) == labels
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_compare_command(self, scale, tmp_path, capsys):
+        from eye2vec.cli import main
+
+        paths = []
+        for name, values in (("big", [scale, scale, 0.0]), ("one", [1.0, 1.0, 0.0])):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(ev(name, values).to_json(), encoding="utf-8")
+        assert main(["compare", *map(str, paths)]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(1.0, abs=1e-15)

@@ -3,8 +3,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eye2vec.hashing import SplitMix64, fnv1a64, splitmix64_block
-from oracles import oracle_fnv1a64
+from eye2vec import linker
+from eye2vec.hashing import (
+    FNV_OFFSET_BASIS,
+    SplitMix64,
+    _fnv1a64_from,
+    _fnv1a64_step,
+    fnv1a64,
+    splitmix64_block,
+)
+from eye2vec.linker import TransitionProfile
+from eye2vec.pathctx import PathContext
+from oracles import oracle_content_hash, oracle_fnv1a64
+
+_STATES = st.integers(0, 2**64 - 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -37,3 +49,66 @@ def test_block_rejects_negative_length():
 @example(data=bytes(range(256)))
 def test_fnv1a64_matches_two_statement_loop(data):
     assert fnv1a64(data) == oracle_fnv1a64(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=48), h=_STATES, high=st.integers(0, 2**56 - 1))
+@example(data=b"", h=0, high=0)
+@example(data=bytes(range(256)), h=2**64 - 1, high=2**56 - 1)
+def test_segment_step_matches_the_byte_loop(data, h, high):
+    # the step read off one state holds for every state with its low byte
+    power, offset = _fnv1a64_step(h, data)
+    assert _fnv1a64_from(h, data) == oracle_fnv1a64(data, h) == (h * power + offset) % 2**64
+    other = high << 8 | h & 255
+    assert oracle_fnv1a64(data, other) == (other * power + offset) % 2**64
+
+
+@given(first=st.binary(max_size=32), second=st.binary(max_size=32))
+def test_byte_loop_continues_from_a_state(first, second):
+    middle = _fnv1a64_from(FNV_OFFSET_BASIS, first)
+    assert _fnv1a64_from(middle, second) == fnv1a64(first + second)
+
+
+_CONTEXTS = st.builds(PathContext, st.text(max_size=6), st.text(max_size=6), st.text(max_size=6))
+# counts of one to many digits, so segments differ in length
+_COUNTS = st.one_of(st.integers(1, 20), st.integers(1, 10**40))
+
+
+@st.composite
+def profiles(draw):
+    recording_id = draw(st.one_of(st.text(max_size=12), st.sampled_from(["r\u00e9\u4e2d\U0001f600", ""])))
+    return TransitionProfile(recording_id, draw(st.dictionaries(_CONTEXTS, _COUNTS, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=profiles())
+def test_content_hash_matches_one_string_hashed_byte_by_byte(profile):
+    want = oracle_content_hash(profile)
+    assert profile.content_hash() == want
+    # again, now from the steps the first call stored
+    assert profile.content_hash() == want
+
+
+def test_a_recurring_profile_runs_no_byte_loop(monkeypatch):
+    contexts = [PathContext(f"s{i}", "Name\u2191Call", "t\u00e9") for i in range(40)]
+    profile = TransitionProfile("r\u00e9", {c: 10**i for i, c in enumerate(contexts, 1)})
+    monkeypatch.setattr(linker, "_segment_memo", {})
+    want = profile.content_hash()
+    assert len(linker._segment_memo) == 40
+
+    def fail(h, data):
+        raise AssertionError("a stored step was computed again")
+
+    monkeypatch.setattr(linker, "_fnv1a64_step", fail)
+    assert profile.content_hash() == want == oracle_content_hash(profile)
+
+
+def test_segment_memo_stops_growing_at_its_bound(monkeypatch):
+    monkeypatch.setattr(linker, "_SEGMENT_MEMO_SIZE", 16)
+    monkeypatch.setattr(linker, "_segment_memo", {})
+    for n in (5, 30, 60):
+        contexts = [PathContext(f"a{i}", "P", f"b{n}") for i in range(n)]
+        profile = TransitionProfile(f"r{n}", {c: i + 1 for i, c in enumerate(contexts)})
+        for _ in range(2):
+            assert profile.content_hash() == oracle_content_hash(profile)
+        assert len(linker._segment_memo) == (5 if n == 5 else 16)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +56,34 @@ def test_equal_contexts_hash_equal(source, path, target):
     ctx, twin = PathContext(source, path, target), PathContext(source, path, target)
     assert ctx == twin and ctx is not twin
     assert ctx.__hash__() == ctx.hash and hash(ctx) == hash(twin)
+
+
+@given(source=_CONTEXT_TEXT, path=_CONTEXT_TEXT, target=_CONTEXT_TEXT)
+def test_stored_string_survives_copies(source, path, target):
+    ctx = PathContext(source, path, target)
+    rendered = f"{source},{path},{target}"
+    copies = [pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx),
+              dataclasses.replace(ctx)]
+    for other in copies:
+        assert other == ctx and hash(other) == hash(ctx)
+        assert other.context_string == rendered
+    moved = dataclasses.replace(ctx, target_text=target + "\u00e9,")
+    assert moved.context_string == rendered + "\u00e9,"
+    assert moved.hash == fnv1a64(moved.context_string)
+
+
+def test_stored_string_is_not_compared_or_shown():
+    ctx = PathContext("a,b", "Name\u2191Call", "\u00e9")
+    assert ctx.context_string == "a,b,Name\u2191Call,\u00e9"
+    assert repr(ctx) == (f"PathContext(source_text='a,b', path_encoding='Name\u2191Call', "
+                         f"target_text='\u00e9', hash={ctx.hash})")
+    assert [f.name for f in dataclasses.fields(ctx) if f.compare] == [
+        "source_text", "path_encoding", "target_text", "hash"]
+    twin = PathContext("a,b", "Name\u2191Call", "\u00e9")
+    object.__setattr__(twin, "context_string", "another rendering")
+    assert twin == ctx
+    with pytest.raises(ValueError):
+        dataclasses.replace(ctx, context_string="x")
 
 
 def test_contexts_that_render_one_string_stay_two_keys():
