@@ -144,7 +144,8 @@ def kmeans(vectors, k: int, seed: int) -> list[int]:
     (smallest index among ties). Assignments are deterministic given the
     inputs and seed.
     """
-    data = _stack(vectors)
+    rows = list(vectors)
+    data = _stack(rows) if rows else np.empty((0, 0))
     if data.ndim != 2:
         raise ValueError("vectors must form a 2-D matrix")
     n = data.shape[0]

@@ -19,7 +19,6 @@ at least one row, so the gather needs O(block + 3 * dim) memory whatever
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -29,13 +28,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .embeddings import EmbeddingTable, _context_parts
-from .errors import EmptyProfileError, FormatError, ZeroVectorError, _read_input
+from .errors import EmptyProfileError, FormatError, ZeroVectorError, _read_input, _TextMemo
 from .linker import TransitionProfile
 
 _BLOCK_FLOATS = 2**18
 _READ_MEMO_CHARS = 2**23  # the read memo's budget, charged by text length
-_read_memo: dict[bytes, EyeVector] = {}  # SHA-256 of a text -> its vector
-_read_memo_chars = 0
+_read_memo = _TextMemo(_READ_MEMO_CHARS)  # SHA-256 of a text -> its vector
 
 
 @dataclass(frozen=True)
@@ -115,27 +113,19 @@ def read_eye_vector(path: str | Path) -> EyeVector:
     """The eye vector in the JSON file at ``path``.
 
     The file is read on every call, so a changed file is never served
-    stale. Its text is then looked up in a module-level memo keyed by the
-    text's SHA-256 digest, so a text parsed before is not parsed again: the
-    memo holds the (immutable) vector and a 32-byte key, never the text.
-    Each entry is charged its text's length, and the charges never pass
-    ``_READ_MEMO_CHARS`` (8 Mi characters): a text that would take them
-    past it is parsed as on a miss and not stored. A text that does not
-    parse raises ``FormatError`` every time and is never stored.
+    stale. Its text is then parsed through a module-level memo keyed by the
+    text's SHA-256 digest (``errors._TextMemo``), so a text parsed before is
+    not parsed again: the memo holds the (immutable) vector and a 32-byte
+    key, never the text. Each entry is charged its text's length, and the
+    charges never pass ``_READ_MEMO_CHARS`` (8 Mi characters): a text that
+    would take them past it is parsed as on a miss and not stored. A text
+    that does not parse raises ``FormatError`` every time and is never
+    stored.
 
     The memo pays off only on repeated reads in one process; a one-shot read
     costs one digest more.
     """
-    global _read_memo_chars
-    text = _read_input(path)
-    key = hashlib.sha256(text.encode("utf-8")).digest()
-    vector = _read_memo.get(key)
-    if vector is None:
-        vector = EyeVector.from_json(text)
-        if _read_memo_chars + len(text) <= _READ_MEMO_CHARS:
-            _read_memo[key] = vector
-            _read_memo_chars += len(text)
-    return vector
+    return _read_memo.parsed(_read_input(path), EyeVector.from_json)
 
 
 def compress(

@@ -1,10 +1,16 @@
-"""Exception types shared across the eye2vec pipeline, and the one reader
-of input files, which bounds their size."""
+"""Exception types shared across the eye2vec pipeline, the one reader of
+input files, which bounds their size, and the memo through which the
+readers of CSV and JSON files parse a text once."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import stat
+from collections.abc import Callable
+from typing import TypeVar
+
+_T = TypeVar("_T")
 
 # The most bytes any input file may hold: a source text, fixation CSV,
 # embedding table, labels TSV or eye-vector JSON. A regular file is refused
@@ -116,3 +122,33 @@ def _read_input(path: str | os.PathLike, newline: str | None = None) -> str:
     if newline is None and "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+class _TextMemo:
+    """What a parser made of each text, keyed by the text's SHA-256 digest.
+
+    ``parsed(text, parse, *args)`` returns ``parse(text, *args)``, from the
+    memo when the same text was parsed with the same ``args`` before. The
+    key is the 32-byte digest, or ``(*args, digest)`` when ``args`` are
+    given; the memo never holds the text itself. Each entry is charged its
+    text's length, and the charges never pass ``budget``: a text that would
+    take them past it is parsed as on a miss and not stored. A parse that
+    raises stores nothing, so a bad text raises on every call. Stored values
+    are shared by every caller and must not be mutated.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.chars = 0
+        self.entries: dict = {}
+
+    def parsed(self, text: str, parse: Callable[..., _T], *args) -> _T:
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        key = (*args, digest) if args else digest
+        value = self.entries.get(key)
+        if value is None:
+            value = parse(text, *args)
+            if self.chars + len(text) <= self.budget:
+                self.entries[key] = value
+                self.chars += len(text)
+        return value

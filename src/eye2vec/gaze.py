@@ -11,8 +11,12 @@ Neither format carries any personal identifier; a recording is just an id
 A recording is in one mode, pixel or grid, and holds its fixations as the
 four columns of its CSV; its shape is checked once, where it is made, and
 ``Recording.fixations`` builds ``Fixation`` objects only when asked.
-``read_fixations`` converts and checks whole columns, and that one rule set
-also names the first bad row: over bad input, halving the body finds it.
+``read_fixations`` checks the header first, then converts and checks whole
+columns, and that one rule set also names the first bad row: over bad
+input, halving the body finds it. It reads the file on every call but
+parses a text only once per mode: a memo keyed by the mode and the text's
+SHA-256 digest keeps the columns of good texts, up to 2 Mi characters of
+text, and each call wraps them in a new ``Recording`` named after its file.
 ``convert_recording`` turns the x and y columns into line and col columns
 with ``to_grid``'s own arithmetic, building no objects.
 """
@@ -27,11 +31,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, OutOfViewport, _read_input
+from .errors import FormatError, OutOfViewport, _read_input, _TextMemo
 
 PIXEL_HEADER = ["timestamp_ms", "x_px", "y_px", "duration_ms"]
 GRID_HEADER = ["timestamp_ms", "line", "col", "duration_ms"]
 _ALREADY_GRID = "fixation is already in grid mode"
+_FIXATION_MEMO_CHARS = 2**21  # the column memo's budget, charged by text length
+_column_memo = _TextMemo(_FIXATION_MEMO_CHARS)  # (mode, SHA-256 of a text) -> its columns
 
 
 @dataclass(frozen=True)
@@ -211,30 +217,54 @@ def _first_bad_row(body: list[list[str]], mode: str) -> FormatError:
     return FormatError(lo + 2, _parse_columns(body[max(lo - 1, 0):lo + 1], mode))
 
 
+def _read_columns(text: str, mode: str) -> _Columns:
+    """The columns of the fixation CSV ``text`` in ``mode``; the header is
+    checked before any row of the body is read."""
+    expected_header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header != expected_header:
+            found = "<empty file>" if header is None else ",".join(header)
+            raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
+        body = list(reader)
+    except csv.Error as exc:
+        raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
+    columns = _parse_columns(body, mode)
+    if isinstance(columns, str):
+        raise _first_bad_row(body, mode)
+    return columns
+
+
 def read_fixations(path: str | Path, mode: str) -> Recording:
     """Load a fixation CSV; ``mode`` is ``"pixel"`` or ``"grid"``.
 
     Raises FormatError (with the 1-based physical row) on a wrong header,
     a row the CSV reader rejects (such as an oversized field), non-numeric
-    field, negative value, or decreasing timestamp. The body is checked a
-    whole column at a time; only if it is refused are halves of it checked
-    with the same rules, to name the first bad row and what is wrong with it.
+    field, negative value, or decreasing timestamp. The header is checked
+    first, so a wrong header is reported before any fault in the body. The
+    body is checked a whole column at a time; only if it is refused are
+    halves of it checked with the same rules, to name the first bad row and
+    what is wrong with it.
+
+    The file is read on every call, so a changed file is never served
+    stale. Its text is then parsed through a module-level memo keyed by
+    ``(mode, SHA-256 of the text)`` (``errors._TextMemo``), which holds the
+    four immutable column tuples, never the text or a ``Recording``: each
+    call returns a new ``Recording`` named after its own file, so two files
+    with the same text keep their own ids. Each entry is charged its text's
+    length, and the charges never pass ``_FIXATION_MEMO_CHARS``
+    (2 Mi characters). An entry holds at most about 11.4 bytes a character
+    (pixel rows such as ``257,0,0,257``), so the memo at most about 24 MB.
+    A text that would take the charges past the budget is parsed and not
+    stored, and a text that raises is never stored.
+    Only repeated reads in one process gain; a one-shot read costs one
+    digest more.
     """
     if mode not in ("pixel", "grid"):
         raise ValueError(f"mode must be 'pixel' or 'grid', got {mode!r}")
     path = Path(path)
-    expected_header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
-    reader = csv.reader(io.StringIO(_read_input(path, newline=""), newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
-    if not rows or rows[0] != expected_header:
-        found = ",".join(rows[0]) if rows else "<empty file>"
-        raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
-    columns = _parse_columns(rows[1:], mode)
-    if isinstance(columns, str):
-        raise _first_bad_row(rows[1:], mode)
+    columns = _column_memo.parsed(_read_input(path, newline=""), _read_columns, mode)
     return Recording._from_columns(path.stem, mode, columns)
 
 

@@ -385,14 +385,16 @@ def oracle_read_fixations(path: str | Path, mode: str) -> Recording:
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
+            header = next(reader, None)
+            if header != expected_header:
+                found = ",".join(header) if header is not None else "<empty file>"
+                raise FormatError(
+                    1, f"expected header {','.join(expected_header)!r}, got {found!r}")
             rows = list(reader)
         except csv.Error as exc:
             raise FormatError(reader.line_num, f"bad CSV: {exc}") from None
-    if not rows or rows[0] != expected_header:
-        found = ",".join(rows[0]) if rows else "<empty file>"
-        raise FormatError(1, f"expected header {','.join(expected_header)!r}, got {found!r}")
     last_timestamp: int | None = None
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in enumerate(rows, start=2):
         if len(row) != 4:
             raise FormatError(row_no, f"expected 4 fields, got {len(row)}")
         timestamp = _oracle_int(row[0], row_no, "timestamp_ms")

@@ -179,6 +179,9 @@ class TestKmeans:
             kmeans(points, 0, seed=0)
         with pytest.raises(InvalidK):
             kmeans(points, 3, seed=0)
+        for k in (0, 1):
+            with pytest.raises(InvalidK):
+                kmeans([], k, seed=0)
 
     def test_unnormalized_vectors_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,16 @@
 import csv
+import hashlib
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eye2vec import gaze
-from eye2vec.errors import FormatError, OutOfViewport
+from eye2vec.errors import FormatError, OutOfViewport, _TextMemo
 from eye2vec.gaze import (
     GRID_HEADER,
     PIXEL_HEADER,
@@ -91,6 +94,32 @@ class TestReadFixations:
         with pytest.raises(FormatError) as exc:
             read_fixations(path, mode="pixel")
         assert exc.value.row == 1
+
+    def test_header_checked_before_the_body(self, tmp_path):
+        # row 3 holds a field over the CSV reader's limit; the header is wrong
+        body = "0,1,1,10\n" + "1,1," + "9" * (csv.field_size_limit() + 1) + ",10\n"
+        path = write(tmp_path, "w.csv", "timestamp_ms,line,col,duration_ms\n" + body)
+        want = ("error", 1, "expected header 'timestamp_ms,x_px,y_px,duration_ms', "
+                "got 'timestamp_ms,line,col,duration_ms'")
+        assert _outcome(read_fixations, path, "pixel") == want
+        assert _outcome(oracle_read_fixations, path, "pixel") == want
+        with pytest.raises(FormatError, match="row 3: bad CSV: field larger"):
+            read_fixations(path, "grid")
+
+    def test_wrong_header_reads_no_rows(self, tmp_path):
+        # a long grid file read in pixel mode: the body is never split into rows
+        text = "timestamp_ms,line,col,duration_ms\n" + "".join(
+            f"{t},1,1,10\n" for t in range(100_000))
+        path = write(tmp_path, "g.csv", text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                read_fixations(path, "pixel")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.row == 1
+        assert peak < 8 * len(text)  # splitting the body into rows peaks at about 20 B a character
 
     def test_negative_pixel_rejected(self, tmp_path):
         path = write(tmp_path, "n.csv", "timestamp_ms,x_px,y_px,duration_ms\n0,-1,5,10\n")
@@ -328,7 +357,11 @@ class TestReadAgainstRowLoop:
         path = tmp_path_factory.mktemp("csv") / "rec.csv"
         path.write_text(text, encoding="utf-8")
         want = _outcome(oracle_read_fixations, path, mode)
-        assert _outcome(read_fixations, path, mode) == want
+        memo = _TextMemo(gaze._FIXATION_MEMO_CHARS)
+        with mock.patch.object(gaze, "_column_memo", memo):
+            assert _outcome(read_fixations, path, mode) == want  # a miss
+            assert memo.chars == (len(text) if want[0] == "ok" else 0)
+            assert _outcome(read_fixations, path, mode) == want  # a hit, or a miss again
         # the column checks pass exactly the files the row loop accepts
         rows = list(csv.reader(io.StringIO(text)))[1:]
         assert (not isinstance(gaze._parse_columns(rows, mode), str)) == (want[0] == "ok")
@@ -385,6 +418,109 @@ class TestReadAgainstRowLoop:
         path = write(tmp_path, "odd.csv", "timestamp_ms,line,col,duration_ms\n1_0, 12,١٢,+7\n")
         (fixation,) = read_fixations(path, "grid").fixations
         assert fixation == Fixation(10, 7, GridPos(12, 12))
+
+
+@pytest.fixture()
+def column_memo(monkeypatch):
+    """An empty fixation memo for one test; the module's own is put back after."""
+    memo = _TextMemo(gaze._FIXATION_MEMO_CHARS)
+    monkeypatch.setattr(gaze, "_column_memo", memo)
+    return memo
+
+
+def _key(mode, text):
+    return mode, hashlib.sha256(text.encode("utf-8")).digest()
+
+
+def _grid_text(*rows):
+    return "\n".join([",".join(GRID_HEADER), *rows]) + "\n"
+
+
+class TestFixationMemo:
+    def test_rewritten_file_gives_the_new_columns(self, tmp_path, column_memo):
+        old, new = _grid_text("0,1,1,10"), _grid_text("0,2,3,10", "5,4,4,20")
+        path = write(tmp_path, "r.csv", old)
+        assert read_fixations(path, "grid").columns == ((0,), (1,), (1,), (10,))
+        path.write_text(new, encoding="utf-8")
+        assert read_fixations(path, "grid").columns == ((0, 5), (2, 4), (3, 4), (10, 20))
+        assert set(column_memo.entries) == {_key("grid", old), _key("grid", new)}
+        assert column_memo.chars == len(old) + len(new)
+
+    @pytest.mark.parametrize("text,row", [
+        (_grid_text("0,1,1,10", "5,1,1,10", "4,1,1,10"), 4),
+        ("timestamp_ms,x_px,y_px,duration_ms\n0,1,1,10\n", 1),
+        ("", 1),
+    ])
+    def test_malformed_file_raises_every_time_and_is_not_stored(
+            self, tmp_path, column_memo, text, row):
+        path = write(tmp_path, "bad.csv", text)
+        errors = set()
+        for _ in range(3):
+            with pytest.raises(FormatError) as caught:
+                read_fixations(path, "grid")
+            errors.add((caught.value.row, caught.value.message))
+        assert len(errors) == 1 and errors.pop()[0] == row
+        assert column_memo.entries == {} and column_memo.chars == 0
+
+    def test_same_text_keeps_each_file_name(self, tmp_path, column_memo):
+        text = _grid_text("0,1,1,10", "5,2,2,10")
+        first = read_fixations(write(tmp_path, "alice.csv", text), "grid")
+        second = read_fixations(write(tmp_path, "bob.csv", text), "grid")
+        assert (first.recording_id, second.recording_id) == ("alice", "bob")
+        assert first.columns is second.columns
+        assert set(column_memo.entries) == {_key("grid", text)}
+        assert column_memo.chars == len(text)
+
+    def test_pixel_text_read_in_grid_mode_raises_the_header_error(self, tmp_path, column_memo):
+        text = "timestamp_ms,x_px,y_px,duration_ms\n0,1.5,2.5,10\n"
+        path = write(tmp_path, "p.csv", text)
+        assert read_fixations(path, "pixel").columns == ((0,), (1.5,), (2.5,), (10,))
+        with pytest.raises(FormatError) as caught:
+            read_fixations(path, "grid")
+        assert caught.value.row == 1 and "expected header" in caught.value.message
+        assert set(column_memo.entries) == {_key("pixel", text)}
+
+    def test_text_is_keyed_as_parsed(self, tmp_path, column_memo):
+        # the CSV reader keeps a quoted line break as it is, so CRLF is another text
+        lf = _grid_text("0,1,1,10", "5,2,2,10")
+        crlf = lf.replace("\n", "\r\n")
+        first = read_fixations(write(tmp_path, "lf.csv", lf), "grid")
+        (tmp_path / "crlf.csv").write_bytes(crlf.encode("utf-8"))
+        second = read_fixations(tmp_path / "crlf.csv", "grid")
+        assert first.columns == second.columns
+        assert set(column_memo.entries) == {_key("grid", lf), _key("grid", crlf)}
+
+    @pytest.mark.parametrize("budget", [0, 1, 200, 2**21])
+    def test_memo_stops_growing_at_its_budget(self, tmp_path, column_memo, monkeypatch, budget):
+        monkeypatch.setattr(column_memo, "budget", budget)
+        texts = [_grid_text(*(f"{t},{i + 1},{t % 7 + 1},10" for t in range(i + 2)))
+                 for i in range(8)]
+        paths = [write(tmp_path, f"g{i}.csv", text) for i, text in enumerate(texts)]
+        first = [read_fixations(path, "grid") for path in paths]
+        charged, stored = 0, []
+        for text in texts:  # a text is stored while it fits in what is left
+            if charged + len(text) <= budget:
+                charged, stored = charged + len(text), stored + [_key("grid", text)]
+        assert (set(column_memo.entries), column_memo.chars) == (set(stored), charged)
+        assert [read_fixations(path, "grid") for path in paths] == first
+        assert first == [oracle_read_fixations(path, "grid") for path in paths]
+        assert len(column_memo.entries) == len(stored)
+
+    @pytest.mark.parametrize("row,bound", [
+        ("0,0,0,1", 10.5),     # the shortest row: two new floats, small ints
+        ("257,0,0,257", 11.5),  # the densest: two new ints as well
+    ])
+    def test_entry_holds_its_columns_not_its_text(self, tmp_path, column_memo, row, bound):
+        text = "\n".join([",".join(PIXEL_HEADER), *[row] * 50_000]) + "\n"
+        path = write(tmp_path, "dense.csv", text)
+        tracemalloc.start()
+        try:
+            read_fixations(path, "pixel")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert column_memo.chars == len(text)
+        assert held <= bound * column_memo.chars
 
 
 def _per_row(recording, grid):
