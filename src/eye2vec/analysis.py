@@ -29,13 +29,24 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _stack(vectors) -> np.ndarray:
-    """One float row per vector; ``vectors`` holds EyeVectors or arrays."""
-    rows = [np.asarray(v.values if isinstance(v, EyeVector) else v, dtype=np.float64)
-            for v in vectors]
+    """One float row per vector; ``vectors`` holds EyeVectors or arrays.
+
+    An EyeVector's values were checked finite when it was made, so only the
+    other rows are checked here.
+    """
+    rows = [v.values if isinstance(v, EyeVector) else _finite(v) for v in vectors]
     shapes = {row.shape for row in rows}
     if len(shapes) > 1:
         raise DimMismatch(f"vectors have mixed shapes: {sorted(shapes)}")
     return np.stack(rows)
+
+
+def _finite(vector) -> np.ndarray:
+    """``vector`` as a float row, refused if any value is not finite."""
+    row = np.asarray(vector, dtype=np.float64)
+    if not np.all(np.isfinite(row)):
+        raise ValueError("vectors must be finite")
+    return row
 
 
 def _unit_rows(data: np.ndarray) -> np.ndarray:

@@ -34,19 +34,6 @@ def _fnv1a64_from(h: int, data: bytes) -> int:
     return h
 
 
-def _fnv1a64_step(h: int, data: bytes) -> tuple[int, int]:
-    """``(power, offset)`` with ``_fnv1a64_from(g, data) == (g * power +
-    offset) mod 2**64`` for every state ``g`` whose low byte is ``h``'s.
-
-    ``g ^ b`` changes only the low byte of ``g``, and the low byte of a
-    product depends only on the factors' low bytes, so after each byte the
-    state is ``g * FNV_PRIME**i`` plus a term fixed by ``data`` and
-    ``g & 255``. The term is read off one run of the byte loop from ``h``.
-    """
-    power = pow(FNV_PRIME, len(data), 1 << 64)
-    return power, (_fnv1a64_from(h, data) - h * power) & _MASK64
-
-
 class SplitMix64:
     """The splitmix64 generator.
 

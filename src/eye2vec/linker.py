@@ -17,14 +17,12 @@ pair, of which about 225 are the context's stored string, the worst case
 over the 16 kept trees is about 47 MB.
 
 ``TransitionProfile.content_hash`` is FNV-1a over a header and one segment
-per entry. ``g ^ b`` changes only the low byte of the state ``g``, so a
-segment of ``n`` bytes takes any state ``g`` to ``g * FNV_PRIME**n +
-offset`` mod 2**64, where ``offset`` depends only on the segment and
-``g & 255``. The module-level ``_segment_memo`` keeps that step, ``(power,
-offset)``, per ``(context hash, count, low byte)``, so a recurring profile
-is hashed with one multiply per entry, not one per byte. It holds at most
-``_SEGMENT_MEMO_SIZE`` (65,536) steps, about 230 bytes each, so at most
-about 15 MB; once full, a new step is computed as on a miss and not stored.
+per entry. The module-level ``_segment_memo`` maps the state a segment
+starts from, with the segment's context hash and count, to the state after
+it, so a recurring profile is hashed with one lookup per entry, not one
+step per byte. It holds at most ``_SEGMENT_MEMO_SIZE`` (65,536) states,
+about 140 bytes each, so at most about 9 MB; once full, a new segment is
+hashed as on a miss and not stored.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from types import MappingProxyType
 from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
-from .hashing import _MASK64, _fnv1a64_step, fnv1a64
+from .hashing import _fnv1a64_from, fnv1a64
 from .minilang import _LineIndex, AstNode, LeafToken, tree_facts
 from .pathctx import PathContext, context_between
 
@@ -46,7 +44,7 @@ DEFAULT_SNAP_TOL_COLS = 3
 _PAIR_MEMO_SIZE = 4096
 _SEGMENT_MEMO_SIZE = 65536
 
-_segment_memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+_segment_memo: dict[tuple[int, int, int], int] = {}
 
 _NOT_GRID = "fixation must be in grid mode; run the coordinate converter first"
 
@@ -126,22 +124,22 @@ class TransitionProfile:
 
         FNV-1a over the header ``recording_id\x1ftotal`` and then, in stored
         order, one segment ``\x1e{ctx.hash}:{count}`` per entry. The header is
-        hashed byte by byte; each segment takes its step from
+        hashed byte by byte; each segment takes the state after it from
         ``_segment_memo`` (see the module docstring), or runs the byte loop
-        once from the state it meets and stores the step while the memo has
-        room. Only entries that recur in one process gain; a one-shot CLI
-        call, or a first recording, pays for a step and a store per entry
-        on top of the byte loop and gains nothing.
+        from the state it meets and stores the result while the memo has
+        room. Only a segment met again from the same state, as in a profile
+        hashed again, gains; a first recording pays the byte loop and one
+        store per entry.
         """
         h, memo = fnv1a64(f"{self.recording_id}\x1f{self.total_transitions}"), _segment_memo
         for ctx, count in self.entries.items():
-            key = (ctx.hash, count, h & 255)
-            step = memo.get(key)
-            if step is None:
-                step = _fnv1a64_step(h, f"\x1e{ctx.hash}:{count}".encode("ascii"))
+            key = (h, ctx.hash, count)
+            after = memo.get(key)
+            if after is None:
+                after = _fnv1a64_from(h, f"\x1e{ctx.hash}:{count}".encode("ascii"))
                 if len(memo) < _SEGMENT_MEMO_SIZE:
-                    memo[key] = step
-            h = (h * step[0] + step[1]) & _MASK64
+                    memo[key] = after
+            h = after
         return h
 
     def sorted_entries(self) -> list[tuple[PathContext, int]]:

@@ -83,6 +83,14 @@ class TestCosineSimilarity:
     def test_accepts_eye_vectors(self):
         assert cosine_similarity(ev("a", [1, 0]), ev("b", [0, 1])) == 0.0
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            cosine_similarity([math.nan, 1.0], [1.0, 1.0])
+
+    def test_inf_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            cosine_similarity([math.inf, 1.0], [1.0, 1.0])
+
 
 class TestDistanceMatrix:
     def test_identical_vectors(self):
@@ -191,6 +199,10 @@ class TestKmeans:
         vectors = [ev("a", unit([1, 0])), ev("b", unit([0, 1]))]
         assert len(kmeans(vectors, 2, seed=0)) == 2
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            kmeans([[math.nan, 0.0], [1.0, 0.0]], 1, seed=0)
+
 
 class TestNearestCentroid:
     def test_nearer_centroid_wins(self):
@@ -225,6 +237,12 @@ class TestNearestCentroid:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimMismatch):
             LabeledSet([(ev("a", [1.0]), "x"), (ev("b", [0.0, 1.0]), "y")])
+
+    def test_non_finite_test_row_rejected(self):
+        train = LabeledSet([(ev("e", [1.0, 0.0]), "expert"), (ev("n", [0.0, 1.0]), "novice")])
+        for row in ([math.nan, 1.0], [1.0, -math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                nearest_centroid_predict(train, [ev("t", [0.9, 0.1]), np.array(row)])
 
 
 class TestLeaveOneOut:

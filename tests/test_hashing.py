@@ -8,15 +8,12 @@ from eye2vec.hashing import (
     FNV_OFFSET_BASIS,
     SplitMix64,
     _fnv1a64_from,
-    _fnv1a64_step,
     fnv1a64,
     splitmix64_block,
 )
 from eye2vec.linker import TransitionProfile
 from eye2vec.pathctx import PathContext
 from oracles import oracle_content_hash, oracle_fnv1a64
-
-_STATES = st.integers(0, 2**64 - 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -51,22 +48,10 @@ def test_fnv1a64_matches_two_statement_loop(data):
     assert fnv1a64(data) == oracle_fnv1a64(data)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.binary(max_size=48), h=_STATES, high=st.integers(0, 2**56 - 1))
-@example(data=b"", h=0, high=0)
-@example(data=bytes(range(256)), h=2**64 - 1, high=2**56 - 1)
-def test_segment_step_matches_the_byte_loop(data, h, high):
-    # the step read off one state holds for every state with its low byte
-    power, offset = _fnv1a64_step(h, data)
-    assert _fnv1a64_from(h, data) == oracle_fnv1a64(data, h) == (h * power + offset) % 2**64
-    other = high << 8 | h & 255
-    assert oracle_fnv1a64(data, other) == (other * power + offset) % 2**64
-
-
 @given(first=st.binary(max_size=32), second=st.binary(max_size=32))
 def test_byte_loop_continues_from_a_state(first, second):
     middle = _fnv1a64_from(FNV_OFFSET_BASIS, first)
-    assert _fnv1a64_from(middle, second) == fnv1a64(first + second)
+    assert _fnv1a64_from(middle, second) == oracle_fnv1a64(second, middle) == fnv1a64(first + second)
 
 
 _CONTEXTS = st.builds(PathContext, st.text(max_size=6), st.text(max_size=6), st.text(max_size=6))
@@ -85,7 +70,7 @@ def profiles(draw):
 def test_content_hash_matches_one_string_hashed_byte_by_byte(profile):
     want = oracle_content_hash(profile)
     assert profile.content_hash() == want
-    # again, now from the steps the first call stored
+    # again, now from the states the first call stored
     assert profile.content_hash() == want
 
 
@@ -97,10 +82,23 @@ def test_a_recurring_profile_runs_no_byte_loop(monkeypatch):
     assert len(linker._segment_memo) == 40
 
     def fail(h, data):
-        raise AssertionError("a stored step was computed again")
+        raise AssertionError("a stored segment was hashed again")
 
-    monkeypatch.setattr(linker, "_fnv1a64_step", fail)
+    monkeypatch.setattr(linker, "_fnv1a64_from", fail)
     assert profile.content_hash() == want == oracle_content_hash(profile)
+
+
+def test_shared_segments_under_other_ids_hash_like_the_oracle(monkeypatch):
+    # one (context, count) segment met from the states of several ids: a memo
+    # key that drops the state would hand one id's result to another
+    contexts = [PathContext(f"s{i}", "Name\u2191Call", "t") for i in range(6)]
+    profiles = [TransitionProfile(f"r{n}", {c: i + 1 for i, c in enumerate(contexts)})
+                for n in range(4)]
+    assert len({oracle_content_hash(p) for p in profiles}) == len(profiles)
+    for order in (profiles, profiles[::-1]):
+        monkeypatch.setattr(linker, "_segment_memo", {})
+        for _ in range(2):
+            assert [p.content_hash() for p in order] == [oracle_content_hash(p) for p in order]
 
 
 def test_segment_memo_stops_growing_at_its_bound(monkeypatch):
