@@ -2,6 +2,22 @@
 
 All operations are deterministic given their inputs and seeds; clustering
 uses a splitmix64-driven k-means++ so results reproduce across platforms.
+
+Each call stacks its vectors once and works on the whole matrix, with the
+same results as the row-by-row code it replaced:
+
+- Row norms come from one batched product of each row with itself, which
+  runs the same ``dot`` as ``np.dot(row, row)`` and so gives its bits.
+- The distance matrix is one product of unit rows. Equal vectors are set
+  exactly 0 apart, and only rows with a partner within rounding of
+  distance 0 are compared byte for byte to find them.
+- k-means scores every row against every centre with one product,
+  ``|x|**2 - 2 x.c + |c|**2``. A row whose best two scores lie within
+  ``_MARGIN`` is scored again with exact differences, one centre at a
+  time, as k-means++ scores its centres. The distances that re-seeding and
+  the objective check read are exact differences to the assigned centre.
+- Prediction and leave-one-out score every row with one product and send
+  near-ties back to one exact cosine at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ from .errors import DimMismatch, EmptyClass, InsufficientData, InvalidK, ZeroVec
 from .hashing import SplitMix64
 
 MAX_ITERS = 100
-# Rows whose best two scores lie within this gap are decided one cosine at a time.
+# Rows whose best two scores lie within this gap are decided by exact scores.
 _MARGIN = 1e-9
 # A held-out row's class remainder at most this times the class size n may be
 # a rounded zero: its squared norm, taken from dot products, rounds by about
@@ -26,6 +42,7 @@ _NEAR_ZERO = 1e-4
 # Squared norms between these bounds keep ``_cosine``'s products normal floats.
 _NORMAL_SQUARES = (1e-300, 1e300)
 _TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 
 
 def _stack(vectors) -> np.ndarray:
@@ -38,7 +55,7 @@ def _stack(vectors) -> np.ndarray:
     shapes = {row.shape for row in rows}
     if len(shapes) > 1:
         raise DimMismatch(f"vectors have mixed shapes: {sorted(shapes)}")
-    return np.stack(rows)
+    return np.concatenate(rows, axis=None).reshape(len(rows), *shapes.pop())
 
 
 def _finite(vector) -> np.ndarray:
@@ -52,22 +69,32 @@ def _finite(vector) -> np.ndarray:
 def _unit_rows(data: np.ndarray) -> np.ndarray:
     """Each row divided by its own L2 norm.
 
-    The norm is taken per row with ``np.dot`` so that each row gets the same
-    bits as ``row / np.linalg.norm(row)``; a matrix-wide norm sums in another
-    order. A row whose squared norm is not a normal float (it overflowed,
-    underflowed or is zero) is first divided by its largest magnitude.
+    The squared norms come from ``_row_squares``, so each row gets the same
+    bits as ``row / np.linalg.norm(row)``. A row whose squared norm is not a
+    normal float (it overflowed, underflowed or is zero) is first divided by
+    its largest magnitude.
     """
-    with np.errstate(over="ignore"):
-        squares = np.array([np.dot(row, row) for row in data])
+    squares = _row_squares(data)
     odd = ~_is_normal(squares)
     if odd.any():
         data = data.copy()
         data[odd] = [_shrunk(row) for row in data[odd]]
-        squares[odd] = [np.dot(row, row) for row in data[odd]]
+        squares[odd] = _row_squares(data[odd])
     norms = np.sqrt(squares)
     if not np.all(norms):
         raise ZeroVectorError("cannot normalize a zero vector")
     return data / norms[:, None]
+
+
+def _row_squares(data: np.ndarray) -> np.ndarray:
+    """``np.dot(row, row)`` for every row of ``data``, inf where it overflows.
+
+    One batched ``matmul`` of each 1 x d row by itself as a d x 1 column:
+    numpy runs the same ``dot`` for each product as ``np.dot`` does, so each
+    square has its bits. ``np.einsum`` sums in another order.
+    """
+    with np.errstate(over="ignore"):
+        return np.matmul(data[:, None, :], data[:, :, None])[:, 0, 0]
 
 
 def _is_normal(square):
@@ -77,8 +104,8 @@ def _is_normal(square):
 
 def _shrunk(row: np.ndarray) -> np.ndarray:
     """``row`` over its largest magnitude, so its squared norm lies in
-    [1, len(row)]; a zero row stays zero."""
-    top = np.abs(row).max()
+    [1, len(row)]; a zero or empty row stays as it is."""
+    top = np.abs(row).max(initial=0.0)
     return row / top if top else row
 
 
@@ -131,7 +158,11 @@ def distance_matrix(vectors: Sequence[EyeVector]) -> DistanceMatrix:
     """Pairwise cosine distances (1 - similarity) from one product of the unit rows.
 
     The upper triangle is mirrored, so the matrix is exactly symmetric with a
-    zero diagonal, and equal input vectors are exactly 0 apart.
+    zero diagonal, and equal input vectors are exactly 0 apart. Equal vectors
+    have equal unit rows, whose distance rounds to at most about
+    ``(dim + 2) * eps``, so only rows with a partner within twice that are
+    compared byte for byte; ``-0.0`` and ``0.0`` compare equal. Rows one ulp
+    apart are not equal and keep the distance the product gives them.
     """
     if len(vectors) < 2:
         raise ValueError("need at least two vectors")
@@ -139,10 +170,12 @@ def distance_matrix(vectors: Sequence[EyeVector]) -> DistanceMatrix:
     unit = _unit_rows(data)
     upper = np.triu(1.0 - np.clip(unit @ unit.T, -1.0, 1.0), 1)
     values = upper + upper.T
-    # Rows with equal bytes are equal vectors; adding 0.0 turns -0.0 into 0.0.
+    # The diagonal is 0, so a row with a near-zero partner counts two.
+    near = np.flatnonzero(np.count_nonzero(values <= 2 * (data.shape[1] + 2) * _EPS, axis=1) > 1)
     first: dict[bytes, int] = {}
-    group = np.array([first.setdefault((row + 0.0).tobytes(), i) for i, row in enumerate(data)])
-    values[group[:, None] == group] = 0.0
+    group = np.array([first.setdefault(row.tobytes(), i) for i, row in zip(near, data[near] + 0.0)])
+    same_a, same_b = np.nonzero(group[:, None] == group)
+    values[near[same_a], near[same_b]] = 0.0
     return DistanceMatrix([v.recording_id for v in vectors], values)
 
 
@@ -151,9 +184,13 @@ def kmeans(vectors, k: int, seed: int) -> list[int]:
 
     On unit vectors, squared Euclidean distance orders points exactly like
     cosine distance (||u - v||^2 = 2 - 2 cos), so this clusters by angle.
-    Empty clusters are re-seeded with the point farthest from its centroid
-    (smallest index among ties). Assignments are deterministic given the
-    inputs and seed.
+    Each point goes to its nearest centroid, the first among equally near
+    ones. One product scores every point against every centroid by
+    ``|x|^2 - 2 x.c + |c|^2``; a point whose best two scores lie within
+    ``_MARGIN`` is scored again with exact differences, so near-ties fall
+    as the exact distances order them. Empty clusters are re-seeded with the
+    point farthest from its centroid (smallest index among ties), by exact
+    differences. Assignments are deterministic given the inputs and seed.
     """
     rows = list(vectors)
     data = _stack(rows) if rows else np.empty((0, 0))
@@ -162,8 +199,8 @@ def kmeans(vectors, k: int, seed: int) -> list[int]:
     n = data.shape[0]
     if k < 1 or k > n:
         raise InvalidK(f"k must be in 1..{n}, got {k}")
-    norms = np.linalg.norm(data, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    squares = _row_squares(data)
+    if np.any(np.abs(np.sqrt(squares) - 1.0) > 1e-6):
         raise ValueError("vectors must be L2-normalized")
 
     stream = SplitMix64(seed)
@@ -173,9 +210,10 @@ def kmeans(vectors, k: int, seed: int) -> list[int]:
     assignments = np.full(n, -1, dtype=np.int64)
     previous_sse = math.inf
     for _ in range(MAX_ITERS):
-        dist2 = _pairwise_sq_dists(data, centers)
-        new_assignments = np.argmin(dist2, axis=1)
-        own = dist2[np.arange(n), new_assignments]
+        new_assignments = _nearest_centers(data, squares, centers)
+        diff = centers[new_assignments]
+        diff -= data  # c - x is exactly -(x - c), and one n x d array fewer
+        own = _sq_lengths(diff)
 
         reseeded = False
         for j in range(n_centers):
@@ -207,10 +245,14 @@ def kmeans(vectors, k: int, seed: int) -> list[int]:
 
 
 def _kmeanspp_init(data: np.ndarray, k: int, stream: SplitMix64) -> np.ndarray:
+    """k-means++ centres: each next one drawn with weight ``d2``, a point's
+    squared distance to its nearest chosen centre, kept as a running minimum
+    over the centres chosen so far."""
     n = data.shape[0]
     chosen = [stream.randint(n)]
+    d2 = np.full(n, math.inf)
     while len(chosen) < k:
-        d2 = np.min(_pairwise_sq_dists(data, data[chosen]), axis=1)
+        d2 = np.minimum(d2, _sq_lengths(data - data[chosen[-1]]))
         total = float(d2.sum())
         if total == 0.0:
             break  # fewer distinct points than k; extra clusters stay empty
@@ -223,9 +265,32 @@ def _kmeanspp_init(data: np.ndarray, k: int, stream: SplitMix64) -> np.ndarray:
     return data[chosen].astype(np.float64, copy=True)
 
 
+def _nearest_centers(data: np.ndarray, squares: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each row's nearest centre, the first among exactly equal distances.
+
+    ``squares`` holds each row's ``dot(x, x)``. A row whose best two scores
+    ``|x|^2 - 2 x.c + |c|^2`` lie within ``_MARGIN`` is scored again by
+    ``_pairwise_sq_dists``; the rounding of either score is far below it.
+    """
+    scores = squares[:, None] - 2.0 * (data @ centers.T) + _row_squares(centers)
+    best = np.argmin(scores, axis=1)
+    if centers.shape[0] > 1:
+        top = np.partition(scores, 1, axis=1)
+        close = np.flatnonzero(top[:, 1] - top[:, 0] <= _MARGIN)
+        if close.size:
+            best[close] = np.argmin(_pairwise_sq_dists(data[close], centers), axis=1)
+    return best
+
+
 def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distance from every point to every centre, one centre at a time."""
+    return np.stack([_sq_lengths(points - center) for center in centers], axis=1)
+
+
+def _sq_lengths(diff: np.ndarray) -> np.ndarray:
+    """Each row's squared length, summed in the order that an ``einsum`` over
+    an n x k x d array of differences sums each of its rows."""
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 @dataclass

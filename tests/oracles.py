@@ -33,13 +33,25 @@ from typing import Callable
 
 import numpy as np
 
-from eye2vec.analysis import LabeledSet, _centroids, _cosine, _nearest, _stack, _unit_rows
+from eye2vec.analysis import (
+    MAX_ITERS,
+    DistanceMatrix,
+    LabeledSet,
+    _centroids,
+    _cosine,
+    _is_normal,
+    _nearest,
+    _shrunk,
+    _stack,
+    _unit_rows,
+)
 from eye2vec.compressor import EyeVector
 from eye2vec.embeddings import EmbeddingTable, lookup
 from eye2vec.errors import (
     EmptyProfileError,
     FormatError,
     InsufficientData,
+    InvalidK,
     LexError,
     ParseError,
     ZeroVectorError,
@@ -319,6 +331,114 @@ def oracle_predict_per_vector(train: LabeledSet, test: list) -> list[str]:
     unit = _unit_rows(_stack([v for v, _ in train.items]))
     centroids = _centroids(unit, labels, np.ones(len(labels), dtype=bool))
     return [_nearest(_stack([vector, centroids[0][1]])[0], centroids) for vector in test]
+
+
+def oracle_unit_rows(data: np.ndarray) -> np.ndarray:
+    """``analysis._unit_rows`` as it was: one ``np.dot`` per row."""
+    with np.errstate(over="ignore"):
+        squares = np.array([np.dot(row, row) for row in data])
+    odd = ~_is_normal(squares)
+    if odd.any():
+        data = data.copy()
+        data[odd] = [_shrunk(row) for row in data[odd]]
+        squares[odd] = [np.dot(row, row) for row in data[odd]]
+    norms = np.sqrt(squares)
+    if not np.all(norms):
+        raise ZeroVectorError("cannot normalize a zero vector")
+    return data / norms[:, None]
+
+
+def oracle_distance_matrix_by_bytes(vectors: list[EyeVector]) -> DistanceMatrix:
+    """``analysis.distance_matrix`` as it was: every row's bytes grouped to
+    find equal vectors."""
+    if len(vectors) < 2:
+        raise ValueError("need at least two vectors")
+    data = _stack(vectors)
+    unit = oracle_unit_rows(data)
+    upper = np.triu(1.0 - np.clip(unit @ unit.T, -1.0, 1.0), 1)
+    values = upper + upper.T
+    # Rows with equal bytes are equal vectors; adding 0.0 turns -0.0 into 0.0.
+    first: dict[bytes, int] = {}
+    group = np.array([first.setdefault((row + 0.0).tobytes(), i) for i, row in enumerate(data)])
+    values[group[:, None] == group] = 0.0
+    return DistanceMatrix([v.recording_id for v in vectors], values)
+
+
+def oracle_kmeans(vectors, k: int, seed: int) -> list[int]:
+    """``analysis.kmeans`` as it was: every distance an exact difference, from
+    one n x k x d array per Lloyd iteration and per k-means++ step."""
+    rows = list(vectors)
+    data = _stack(rows) if rows else np.empty((0, 0))
+    if data.ndim != 2:
+        raise ValueError("vectors must form a 2-D matrix")
+    n = data.shape[0]
+    if k < 1 or k > n:
+        raise InvalidK(f"k must be in 1..{n}, got {k}")
+    norms = np.linalg.norm(data, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-6):
+        raise ValueError("vectors must be L2-normalized")
+
+    stream = SplitMix64(seed)
+    centers = _oracle_kmeanspp_init(data, k, stream)
+    n_centers = centers.shape[0]
+
+    assignments = np.full(n, -1, dtype=np.int64)
+    previous_sse = math.inf
+    for _ in range(MAX_ITERS):
+        dist2 = oracle_pairwise_sq_dists(data, centers)
+        new_assignments = np.argmin(dist2, axis=1)
+        own = dist2[np.arange(n), new_assignments]
+
+        reseeded = False
+        for j in range(n_centers):
+            if np.any(new_assignments == j):
+                continue
+            candidates = np.flatnonzero(own > 0)
+            if candidates.size == 0:
+                continue  # every point sits on its centroid; leave empty
+            farthest = candidates[np.argmax(own[candidates])]
+            centers[j] = data[farthest]
+            new_assignments[farthest] = j
+            own[farthest] = 0.0
+            reseeded = True
+
+        sse = float(own.sum())
+        if sse > previous_sse + 1e-9:
+            raise AssertionError("k-means objective increased between iterations")
+        previous_sse = sse
+
+        stable = not reseeded and np.array_equal(new_assignments, assignments)
+        assignments = new_assignments
+        if stable:
+            break
+        for j in range(n_centers):
+            members = data[assignments == j]
+            if members.shape[0] > 0:
+                centers[j] = members.mean(axis=0)
+    return [int(a) for a in assignments]
+
+
+def _oracle_kmeanspp_init(data: np.ndarray, k: int, stream: SplitMix64) -> np.ndarray:
+    n = data.shape[0]
+    chosen = [stream.randint(n)]
+    while len(chosen) < k:
+        d2 = np.min(oracle_pairwise_sq_dists(data, data[chosen]), axis=1)
+        total = float(d2.sum())
+        if total == 0.0:
+            break  # fewer distinct points than k; extra clusters stay empty
+        r = stream.next_float01() * total
+        cumulative = np.cumsum(d2)
+        index = int(np.searchsorted(cumulative, r, side="right"))
+        if index >= n:  # r rounded up to the total weight
+            index = int(np.flatnonzero(d2 > 0)[-1])
+        chosen.append(index)
+    return data[chosen].astype(np.float64, copy=True)
+
+
+def oracle_pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from one n x k x d array of differences."""
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def oracle_fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray:

@@ -4,15 +4,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import oracles
 from oracles import (
     oracle_distance_matrix,
+    oracle_distance_matrix_by_bytes,
     oracle_held_out_per_fold,
+    oracle_kmeans,
     oracle_leave_one_out,
     oracle_leave_one_out_per_fold,
     oracle_nearest_centroid,
+    oracle_pairwise_sq_dists,
     oracle_predict_per_vector,
 )
 
@@ -192,8 +195,9 @@ class TestKmeans:
                 kmeans([], k, seed=0)
 
     def test_unnormalized_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            kmeans(np.array([[2.0, 0.0], [0.0, 1.0]]), 2, seed=0)
+        for first in ([2.0, 0.0], [1e200, 0.0]):  # the second's square overflows
+            with pytest.raises(ValueError, match="L2-normalized"):
+                kmeans(np.array([first, [0.0, 1.0]]), 2, seed=0)
 
     def test_accepts_eye_vectors(self):
         vectors = [ev("a", unit([1, 0])), ev("b", unit([0, 1]))]
@@ -529,3 +533,205 @@ class TestExtremeMagnitudes:
             paths[-1].write_text(ev(name, values).to_json(), encoding="utf-8")
         assert main(["compare", *map(str, paths)]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestEmptyVectors:
+    """Dim-0 vectors have no direction, so every analysis of them raises
+    ``ZeroVectorError``, as ``cosine_similarity`` does."""
+
+    def test_cosine_similarity(self):
+        with pytest.raises(ZeroVectorError):
+            cosine_similarity([], [])
+
+    def test_distance_matrix(self):
+        with pytest.raises(ZeroVectorError):
+            distance_matrix([ev("a", []), ev("b", [])])
+
+    def test_nearest_centroid_predict(self):
+        train = _labeled([np.empty(0)] * 2, ["a", "b"])
+        with pytest.raises(ZeroVectorError):
+            nearest_centroid_predict(train, [ev("t", [])])
+
+    def test_leave_one_out(self):
+        with pytest.raises(ZeroVectorError):
+            leave_one_out(_labeled([np.empty(0)] * 4, ["a", "a", "b", "b"]))
+
+
+def _layouts(base):
+    """``base`` as a C array, one starting 8 bytes past a 16-byte boundary, a
+    Fortran array, and two views that are not contiguous."""
+    n, d = base.shape
+    yield base
+    offset = np.zeros(n * d + 1)[1:].reshape(n, d)
+    offset[:] = base
+    yield offset
+    yield np.asfortranarray(base)
+    wide = np.zeros((2 * n, 2 * d))
+    wide[::2, ::2] = base
+    yield wide[::2, ::2]
+    shifted = np.zeros((n, d + 1))
+    shifted[:, 1:] = base
+    yield shifted[:, 1:]
+
+
+# Rows scaled so that their squares overflow, underflow, or are subnormal.
+ROW_SCALES = [1.0, 1e200, 1e-170, 5e-320]
+
+
+def _scaled_matrices(n, d):
+    rng = np.random.default_rng(n * 1009 + d)
+    for scale in ROW_SCALES:
+        yield scale * rng.standard_normal((n, d))
+    yield rng.standard_normal((n, d)) * rng.choice(ROW_SCALES, size=n)[:, None]
+
+
+class TestBatchedPieces:
+    """The whole-matrix forms give the bits of the code they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 140])
+    @pytest.mark.parametrize("d", [1, 3, 384, 1000])
+    def test_row_squares_equal_one_dot_per_row(self, n, d):
+        for base in _scaled_matrices(n, d):
+            for data in _layouts(base):
+                with np.errstate(over="ignore"):
+                    per_row = np.array([np.dot(row, row) for row in data])
+                assert np.array_equal(analysis._row_squares(data), per_row)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 140])
+    @pytest.mark.parametrize("d", [1, 3, 384, 1000])
+    def test_one_centre_at_a_time_equals_one_n_by_k_by_d_array(self, n, d):
+        rng = np.random.default_rng(d)
+        for base in _scaled_matrices(n, d):
+            for data in _layouts(base):
+                for k in (1, 2, 5):
+                    centers = np.concatenate([data[rng.integers(0, n, size=k - 1)],
+                                              rng.standard_normal((1, d))])
+                    pick = rng.integers(0, k, size=n)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = oracle_pairwise_sq_dists(data, centers)
+                        got = analysis._pairwise_sq_dists(data, centers)
+                        diff = centers[pick]
+                        diff -= data
+                        own = analysis._sq_lengths(diff)
+                    np.testing.assert_array_equal(got, want)
+                    # kmeans's rows come C-ordered from _stack; a difference
+                    # of Fortran-ordered rows would be summed in another order
+                    if data.flags.c_contiguous:
+                        np.testing.assert_array_equal(own, want[np.arange(n), pick])
+
+
+@st.composite
+def varied_rows(draw, min_n=1, scales=()):
+    """Rows of one dim: fresh unit rows, exact duplicates, duplicates with
+    each 0.0 turned to -0.0, rows one ulp from an earlier row in one
+    component, and fresh rows times one of ``scales``; or all rows equal.
+    Small-integer components make exact ties between centres likely."""
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(min_n, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small_ints = draw(st.booleans())
+    all_equal = draw(st.booleans())
+    kinds = ["fresh", "duplicate", "signed zero", "ulp"] + (["scaled"] if scales else [])
+    rows, fresh = [], []
+    for _ in range(n):
+        kind = "fresh" if not rows else "duplicate" if all_equal else draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            row = rng.integers(-2, 3, size=dim).astype(np.float64) if small_ints else rng.normal(size=dim)
+            if not row.any():
+                row[0] = 1.0
+            row = unit(row)
+            fresh.append(row)
+        elif kind == "scaled":
+            row = draw(st.sampled_from(fresh)) * draw(st.sampled_from(scales))
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))].copy()
+            if kind == "signed zero":
+                row[row == 0.0] = -0.0
+            elif kind == "ulp":
+                at = draw(st.integers(0, dim - 1))
+                row[at] = np.nextafter(row[at], draw(st.sampled_from([-math.inf, math.inf])))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def kmeans_cohorts(draw):
+    """``varied_rows`` and a k of 1, n or anything between, so fewer
+    distinct points than k is common."""
+    rows = draw(varied_rows())
+    return rows, draw(st.sampled_from([1, len(rows), draw(st.integers(1, len(rows)))]))
+
+
+# A cohort whose second Lloyd iteration leaves a cluster empty, so one is
+# re-seeded with the farthest point (found by a seeded search).
+RESEEDED = ([[-0.48737388093231526, -0.8731933922018498], [-0.30641394197853167, 0.9518983644072392],
+             [-0.5484962736781314, 0.8361529990146567], [0.6856084602443162, 0.7279704933865231],
+             [0.925242023002781, 0.3793773831816036], [0.6892316012558284, 0.7245410960258409],
+             [0.8276581120450256, 0.5612326162707081], [-0.987693334778948, 0.15640292974634734],
+             [-0.12840294734512947, -0.9917220795732461]], 4, 86)
+
+
+# Five equal rows and one a ulp from them: every row sits on its centroid,
+# where an approximate distance may read a little above 0 and re-seed.
+ON_CENTROIDS = [np.array([0.21424427007839494, 0.5093606231982167, 0.20485384406841473,
+                          -0.8078898754434873])] * 5
+ON_CENTROIDS.append(ON_CENTROIDS[0].copy())
+ON_CENTROIDS[-1][0] = np.nextafter(ON_CENTROIDS[-1][0], -math.inf)
+
+
+class TestKmeansAgainstOracle:
+    """``kmeans`` against the exact n x k x d code it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cohort=kmeans_cohorts(), seed=st.integers(0, 2**64 - 1),
+           margin=st.sampled_from([analysis._MARGIN, math.inf]))
+    @example(cohort=RESEEDED[:2], seed=RESEEDED[2], margin=analysis._MARGIN)
+    @example(cohort=(ON_CENTROIDS, 6), seed=0, margin=analysis._MARGIN)
+    def test_same_assignments(self, cohort, seed, margin):
+        rows, k = cohort
+        with mock.patch.object(analysis, "_MARGIN", margin):
+            assert kmeans(rows, k, seed) == oracle_kmeans(rows, k, seed)
+
+    def test_near_ties_take_exact_differences(self):
+        # [1, 1] / sqrt(2) lies exactly between the centres [1, 0] and [0, 1]
+        rows = [unit([1, 0]), unit([0, 1]), unit([1, 1])]
+        with mock.patch.object(analysis, "_pairwise_sq_dists",
+                               wraps=analysis._pairwise_sq_dists) as exact:
+            assert kmeans(rows, 2, seed=0) == oracle_kmeans(rows, 2, seed=0)
+        assert exact.call_count >= 1
+        assert all(points.shape[0] < len(rows) for (points, _), _ in exact.call_args_list)
+
+
+class TestDistanceMatrixAgainstOracle:
+    """``distance_matrix`` against the code that grouped every row's bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=varied_rows(min_n=2, scales=[0.5, 3.0, 1e-160, 1e-200, 1e200]))
+    # the product puts these equal rows 1.1e-16 apart
+    @example(rows=[np.array([1.0, 0.0, 2.0]), np.array([1.0, -0.0, 2.0])])
+    def test_same_matrix(self, rows):
+        vectors = [ev(f"v{i}", row) for i, row in enumerate(rows)]
+        got = distance_matrix(vectors).values
+        want = oracle_distance_matrix_by_bytes(vectors).values
+        # bit for bit, so also within the benchmark's tolerance, with the same zeros
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_all_equal_rows(self, n):
+        rng = np.random.default_rng(n)
+        row = rng.standard_normal(384)
+        vectors = [ev(f"v{i}", row) for i in range(n)]
+        assert not np.any(distance_matrix(vectors).values)
+
+    def test_rows_one_ulp_apart_are_not_zeroed(self):
+        nonzero = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            row = rng.standard_normal(384)
+            near = row.copy()
+            near[seed] = np.nextafter(near[seed], math.inf)
+            vectors = [ev("a", row), ev("b", near), ev("c", rng.standard_normal(384))]
+            got = distance_matrix(vectors).values
+            assert np.array_equal(got, oracle_distance_matrix_by_bytes(vectors).values)
+            nonzero += got[0, 1] != 0.0
+        assert nonzero  # some of these pairs are near zero yet not zero
