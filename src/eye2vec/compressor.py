@@ -49,6 +49,12 @@ class EyeVector:
     meta: Mapping
 
     def __post_init__(self) -> None:
+        if not isinstance(self.recording_id, str) or not self.recording_id:
+            raise TypeError("recording_id must be a nonempty string")
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
+            raise TypeError(f"dim must be an integer, not {type(self.dim).__name__}")
+        if not isinstance(self.normalized, bool):
+            raise TypeError(f"normalized must be a boolean, not {type(self.normalized).__name__}")
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (self.dim,):
             raise ValueError(f"values must have length {self.dim}")
@@ -83,12 +89,6 @@ class EyeVector:
         try:
             recording_id, dim, values, normalized, meta = (
                 data[key] for key in ("recording_id", "dim", "values", "normalized", "meta"))
-            if not isinstance(recording_id, str) or not recording_id:
-                raise TypeError("recording_id must be a nonempty string")
-            if not isinstance(dim, int) or isinstance(dim, bool):
-                raise TypeError(f"dim must be an integer, not {type(dim).__name__}")
-            if not isinstance(normalized, bool):
-                raise TypeError(f"normalized must be a boolean, not {type(normalized).__name__}")
             if not isinstance(meta, dict):
                 raise TypeError(f"meta must be a JSON object, not {type(meta).__name__}")
             # exact types: a bool is an int, and numpy would convert "1.5"

@@ -23,12 +23,7 @@ def fnv1a64(data: bytes | str) -> int:
     """FNV-1a over ``data`` (strings are hashed as their UTF-8 bytes)."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    return _fnv1a64_from(FNV_OFFSET_BASIS, data)
-
-
-def _fnv1a64_from(h: int, data: bytes) -> int:
-    """FNV-1a over ``data`` continued from the state ``h``."""
-    prime, mask = FNV_PRIME, _MASK64
+    h, prime, mask = FNV_OFFSET_BASIS, FNV_PRIME, _MASK64
     for b in data:
         h = ((h ^ b) * prime) & mask
     return h

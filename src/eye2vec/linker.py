@@ -12,17 +12,18 @@ context of every leaf pair linked over the tree, self transitions included,
 so a pair that recurs across recordings is built and hashed once per tree.
 A context does not depend on ``LinkOptions``, so the pair alone is the key.
 The memo holds at most ``_PAIR_MEMO_SIZE`` (4096) pairs per tree; once
-full, new pairs are built as on a miss and not stored. At about 715 bytes a
+full, new pairs are built as on a miss and not stored. At about 675 bytes a
 pair, of which about 225 are the context's stored string, the worst case
-over the 16 kept trees is about 47 MB.
+over the 16 kept trees is about 44 MB.
 
-``TransitionProfile.content_hash`` is FNV-1a over a header and one segment
-per entry. The module-level ``_segment_memo`` maps the state a segment
-starts from, with the segment's context hash and count, to the state after
-it, so a recurring profile is hashed with one lookup per entry, not one
-step per byte. It holds at most ``_SEGMENT_MEMO_SIZE`` (65,536) states,
-about 140 bytes each, so at most about 9 MB; once full, a new segment is
-hashed as on a miss and not stored.
+``TransitionProfile.content_hash`` is FNV-1a over one text: a header and
+one segment per entry. The module-level ``_profile_memo`` maps a profile's
+recording id and entries to that hash, so a recurring profile is hashed
+with one lookup, not one step per byte. Each stored profile is charged its
+entry count plus one, and the charges never pass ``_PROFILE_MEMO_BUDGET``
+(16,384): a profile that would take them past it is hashed as on a miss and
+not stored. At about 460 bytes a charge, contexts included, that is at most
+about 8 MB.
 """
 
 from __future__ import annotations
@@ -31,20 +32,25 @@ import json
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Literal
 
 from .gaze import Fixation, GridPos, Recording
-from .hashing import _fnv1a64_from, fnv1a64
+from .hashing import fnv1a64
 from .minilang import _LineIndex, AstNode, LeafToken, tree_facts
 from .pathctx import PathContext, context_between
 
 DEFAULT_SNAP_TOL_COLS = 3
 
 _PAIR_MEMO_SIZE = 4096
-_SEGMENT_MEMO_SIZE = 65536
+_PROFILE_MEMO_BUDGET = 16384
 
-_segment_memo: dict[tuple[int, int, int], int] = {}
+_profile_memo: dict[tuple[str, tuple[tuple[PathContext, int], ...]], int] = {}
+_profile_memo_charges = 0
+
+# a profile's canonical order; see TransitionProfile
+_CANONICAL = attrgetter("context_string", "source_text", "path_encoding")
 
 _NOT_GRID = "fixation must be in grid mode; run the coordinate converter first"
 
@@ -79,11 +85,6 @@ class LinkOptions:
             raise ValueError("chain must be 'skip' or 'strict'")
 
 
-def _canonical(entry: tuple[PathContext, int]) -> tuple[str, str, str]:
-    context = entry[0]
-    return context.context_string, context.source_text, context.path_encoding
-
-
 @dataclass(frozen=True)
 class TransitionProfile:
     """One recording's transition count per path context.
@@ -107,7 +108,8 @@ class TransitionProfile:
         for count in self.entries.values():
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"a count must be a positive integer, not {count!r}")
-        entries = dict(sorted(self.entries.items(), key=_canonical))
+        entries = dict.fromkeys(sorted(self.entries, key=_CANONICAL))
+        entries.update(self.entries)  # the counts, in the sorted order
         object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "total_transitions", sum(entries.values()))
 
@@ -122,24 +124,22 @@ class TransitionProfile:
     def content_hash(self) -> int:
         r"""Order-independent fingerprint of (recording_id, counts).
 
-        FNV-1a over the header ``recording_id\x1ftotal`` and then, in stored
-        order, one segment ``\x1e{ctx.hash}:{count}`` per entry. The header is
-        hashed byte by byte; each segment takes the state after it from
-        ``_segment_memo`` (see the module docstring), or runs the byte loop
-        from the state it meets and stores the result while the memo has
-        room. Only a segment met again from the same state, as in a profile
-        hashed again, gains; a first recording pays the byte loop and one
-        store per entry.
+        FNV-1a over the header ``recording_id\x1ftotal`` followed, in stored
+        order, by one segment ``\x1e{ctx.hash}:{count}`` per entry. A profile
+        met before is answered from ``_profile_memo`` (see the module
+        docstring); a first one pays the byte loop once.
         """
-        h, memo = fnv1a64(f"{self.recording_id}\x1f{self.total_transitions}"), _segment_memo
-        for ctx, count in self.entries.items():
-            key = (h, ctx.hash, count)
-            after = memo.get(key)
-            if after is None:
-                after = _fnv1a64_from(h, f"\x1e{ctx.hash}:{count}".encode("ascii"))
-                if len(memo) < _SEGMENT_MEMO_SIZE:
-                    memo[key] = after
-            h = after
+        global _profile_memo_charges
+        entries = tuple(self.entries.items())
+        key = (self.recording_id, entries)
+        h = _profile_memo.get(key)
+        if h is None:
+            segments = "".join(f"\x1e{ctx.hash}:{count}" for ctx, count in entries)
+            h = fnv1a64(f"{self.recording_id}\x1f{self.total_transitions}{segments}")
+            charge = len(entries) + 1
+            if _profile_memo_charges + charge <= _PROFILE_MEMO_BUDGET:
+                _profile_memo[key] = h
+                _profile_memo_charges += charge
         return h
 
     def sorted_entries(self) -> list[tuple[PathContext, int]]:

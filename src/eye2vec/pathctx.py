@@ -28,7 +28,7 @@ DEFAULT_MAX_LENGTH = 8
 DEFAULT_MAX_WIDTH = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathContext:
     source_text: str
     path_encoding: str

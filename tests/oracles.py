@@ -461,11 +461,11 @@ def oracle_table_row(components: list[str], line_no: int) -> np.ndarray:
     return vector
 
 
-def oracle_fnv1a64(data: bytes | str, h: int = FNV_OFFSET_BASIS) -> int:
-    """FNV-1a from the state ``h`` with the xor and the masked multiply as
-    two statements per byte."""
+def oracle_fnv1a64(data: bytes | str) -> int:
+    """FNV-1a with the xor and the masked multiply as two statements per byte."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    h = FNV_OFFSET_BASIS
     for b in data:
         h ^= b
         h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF

@@ -239,6 +239,10 @@ class TestEyeVectorValue:
         given["source"] = "t"
         assert dict(vector.meta) == {"source": "s"}
 
+    def test_profile_without_id_not_compressed(self, two_context_table):
+        with pytest.raises(TypeError, match="recording_id"):
+            compress(TransitionProfile("", {CTX_AB: 1}), two_context_table)
+
     def test_pickle_round_trip(self, two_context_table):
         vector = compress(TransitionProfile("r", {CTX_AB: 3, CTX_BC: 2}), two_context_table)
         for back in (pickle.loads(pickle.dumps(vector)), dataclasses.replace(vector)):
@@ -295,6 +299,10 @@ class TestEyeVectorJson:
         data[field] = value
         with pytest.raises(FormatError, match=field):
             EyeVector.from_json(json.dumps(data))
+        if field != "meta":  # any mapping will do outside JSON
+            # refused where it is made, so a vector made is one to_json can write back
+            with pytest.raises((TypeError, ValueError), match=field):
+                EyeVector(**data)
 
     @pytest.mark.parametrize("values", [["1.5", True], [True, False], ["x", 1.0], [[1.0], 2.0]])
     def test_values_that_are_not_numbers_rejected(self, values):

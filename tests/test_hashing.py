@@ -4,13 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eye2vec import linker
-from eye2vec.hashing import (
-    FNV_OFFSET_BASIS,
-    SplitMix64,
-    _fnv1a64_from,
-    fnv1a64,
-    splitmix64_block,
-)
+from eye2vec.hashing import SplitMix64, fnv1a64, splitmix64_block
 from eye2vec.linker import TransitionProfile
 from eye2vec.pathctx import PathContext
 from oracles import oracle_content_hash, oracle_fnv1a64
@@ -48,12 +42,6 @@ def test_fnv1a64_matches_two_statement_loop(data):
     assert fnv1a64(data) == oracle_fnv1a64(data)
 
 
-@given(first=st.binary(max_size=32), second=st.binary(max_size=32))
-def test_byte_loop_continues_from_a_state(first, second):
-    middle = _fnv1a64_from(FNV_OFFSET_BASIS, first)
-    assert _fnv1a64_from(middle, second) == oracle_fnv1a64(second, middle) == fnv1a64(first + second)
-
-
 _CONTEXTS = st.builds(PathContext, st.text(max_size=6), st.text(max_size=6), st.text(max_size=6))
 # counts of one to many digits, so segments differ in length
 _COUNTS = st.one_of(st.integers(1, 20), st.integers(1, 10**40))
@@ -70,43 +58,59 @@ def profiles(draw):
 def test_content_hash_matches_one_string_hashed_byte_by_byte(profile):
     want = oracle_content_hash(profile)
     assert profile.content_hash() == want
-    # again, now from the states the first call stored
+    # again, now from the memo
     assert profile.content_hash() == want
 
 
 def test_a_recurring_profile_runs_no_byte_loop(monkeypatch):
     contexts = [PathContext(f"s{i}", "Name\u2191Call", "t\u00e9") for i in range(40)]
     profile = TransitionProfile("r\u00e9", {c: 10**i for i, c in enumerate(contexts, 1)})
-    monkeypatch.setattr(linker, "_segment_memo", {})
+    monkeypatch.setattr(linker, "_profile_memo", {})
+    monkeypatch.setattr(linker, "_profile_memo_charges", 0)
+    calls = []
+
+    def once(data):
+        assert not calls, "a stored profile was hashed again"
+        calls.append(data)
+        return fnv1a64(data)
+
+    monkeypatch.setattr(linker, "fnv1a64", once)
     want = profile.content_hash()
-    assert len(linker._segment_memo) == 40
-
-    def fail(h, data):
-        raise AssertionError("a stored segment was hashed again")
-
-    monkeypatch.setattr(linker, "_fnv1a64_from", fail)
-    assert profile.content_hash() == want == oracle_content_hash(profile)
+    # an equal profile made again from its entries, in reverse order
+    again = TransitionProfile("r\u00e9", dict(reversed(profile.entries.items())))
+    assert again.content_hash() == profile.content_hash() == want == oracle_content_hash(profile)
+    assert len(calls) == 1 and linker._profile_memo_charges == 41
 
 
 def test_shared_segments_under_other_ids_hash_like_the_oracle(monkeypatch):
-    # one (context, count) segment met from the states of several ids: a memo
-    # key that drops the state would hand one id's result to another
+    # one set of (context, count) entries under several ids: a memo key that
+    # dropped the id would hand one id's hash to another
     contexts = [PathContext(f"s{i}", "Name\u2191Call", "t") for i in range(6)]
     profiles = [TransitionProfile(f"r{n}", {c: i + 1 for i, c in enumerate(contexts)})
                 for n in range(4)]
     assert len({oracle_content_hash(p) for p in profiles}) == len(profiles)
     for order in (profiles, profiles[::-1]):
-        monkeypatch.setattr(linker, "_segment_memo", {})
+        monkeypatch.setattr(linker, "_profile_memo", {})
+        monkeypatch.setattr(linker, "_profile_memo_charges", 0)
         for _ in range(2):
             assert [p.content_hash() for p in order] == [oracle_content_hash(p) for p in order]
 
 
-def test_segment_memo_stops_growing_at_its_bound(monkeypatch):
-    monkeypatch.setattr(linker, "_SEGMENT_MEMO_SIZE", 16)
-    monkeypatch.setattr(linker, "_segment_memo", {})
-    for n in (5, 30, 60):
+def test_profile_memo_stops_storing_at_its_budget(monkeypatch):
+    monkeypatch.setattr(linker, "_PROFILE_MEMO_BUDGET", 40)
+    monkeypatch.setattr(linker, "_profile_memo", {})
+    monkeypatch.setattr(linker, "_profile_memo_charges", 0)
+    # charges 6, 31 and 61: the third would pass the budget and is not stored
+    for n, stored in ((5, 1), (30, 2), (60, 2)):
         contexts = [PathContext(f"a{i}", "P", f"b{n}") for i in range(n)]
         profile = TransitionProfile(f"r{n}", {c: i + 1 for i, c in enumerate(contexts)})
         for _ in range(2):
             assert profile.content_hash() == oracle_content_hash(profile)
-        assert len(linker._segment_memo) == (5 if n == 5 else 16)
+        assert len(linker._profile_memo) == stored
+    assert linker._profile_memo_charges == 37
+    # an empty profile is charged one, so empty profiles fill it too
+    for n in range(1000):
+        profile = TransitionProfile(f"e{n}")
+        assert profile.content_hash() == oracle_content_hash(profile)
+    assert len(linker._profile_memo) == 2 + 3
+    assert linker._profile_memo_charges == 40
