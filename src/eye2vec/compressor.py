@@ -28,12 +28,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .embeddings import EmbeddingTable, _context_parts
-from .errors import EmptyProfileError, FormatError, ZeroVectorError, _read_input, _TextMemo
+from .errors import EmptyProfileError, FormatError, ZeroVectorError, _Memo, _read_input
 from .linker import TransitionProfile
 
 _BLOCK_FLOATS = 2**18
 _READ_MEMO_CHARS = 2**23  # the read memo's budget, charged by text length
-_read_memo = _TextMemo(_READ_MEMO_CHARS)  # SHA-256 of a text -> its vector
+_read_memo = _Memo(_READ_MEMO_CHARS)  # SHA-256 of a text -> its vector
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,11 @@ def read_eye_vector(path: str | Path) -> EyeVector:
 
     The file is read on every call, so a changed file is never served
     stale. Its text is then parsed through a module-level memo keyed by the
-    text's SHA-256 digest (``errors._TextMemo``), so a text parsed before is
-    not parsed again: the memo holds the (immutable) vector and a 32-byte
-    key, never the text. Each entry is charged its text's length, and the
-    charges never pass ``_READ_MEMO_CHARS`` (8 Mi characters): a text that
-    would take them past it is parsed as on a miss and not stored. A text
-    that does not parse raises ``FormatError`` every time and is never
-    stored.
+    text's SHA-256 digest (``errors._Memo.parsed``), so a text parsed before
+    is not parsed again: the memo holds the (immutable) vector and a 32-byte
+    key, never the text. Each entry is charged its text's length against a
+    budget of ``_READ_MEMO_CHARS`` (8 Mi characters). A text that does not
+    parse raises ``FormatError`` every time.
 
     The memo pays off only on repeated reads in one process; a one-shot read
     costs one digest more.

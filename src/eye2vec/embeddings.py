@@ -18,11 +18,10 @@ Each table keeps one private memo: a fallback vector under its key, and a
 under the context, so ``compress`` and ``context_vector`` make no key
 string and no ``lookup`` for a context seen before. The parts are the very
 arrays ``lookup`` returns, an ``entries`` value or a fallback, never copies,
-so the bytes are those of three lookups. Every entry is charged
-``3 * dim`` floats, and the memo stores only while the charge is below
+so the bytes are those of three lookups. The memo is an ``errors._Memo``:
+every entry is charged ``3 * dim`` floats against a budget of
 ``_MEMO_FLOATS`` (2**21, 16 MiB), so it never holds more than that at any
-``dim``; once full, a key or context is computed as on a miss and not
-stored. The memo starts empty in a table made by ``dataclasses.replace``,
+``dim``. The memo starts empty in a table made by ``dataclasses.replace``,
 unpickled or deep-copied.
 """
 
@@ -36,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DegenerateVector, FormatError, _read_input
+from .errors import DegenerateVector, FormatError, _Memo, _read_input
 from .hashing import fnv1a64, splitmix64_block
 from .pathctx import PathContext
 
@@ -51,7 +50,10 @@ _MEMO_FLOATS = 2**21  # a table memo's budget, 3 * dim floats an entry (16 MiB)
 
 
 def check_dim(dim: int) -> None:
-    """Raise ``ValueError`` unless ``1 <= dim <= MAX_DIM``."""
+    """Raise ``TypeError`` unless ``dim`` is an ``int`` (not a ``bool``), and
+    ``ValueError`` unless ``1 <= dim <= MAX_DIM``."""
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise TypeError(f"dim must be an integer, not {type(dim).__name__}")
     if dim < 1:
         raise ValueError("dim must be positive")
     if dim > MAX_DIM:
@@ -64,7 +66,7 @@ class EmbeddingTable:
     entries: Mapping[str, np.ndarray] = field(default_factory=dict)
     fallback_seed: int = DEFAULT_SEED
     # fallbacks by key and context parts by PathContext; see the module docstring
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: _Memo = field(default_factory=lambda: _Memo(_MEMO_FLOATS), init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
@@ -155,9 +157,8 @@ def lookup(table: EmbeddingTable, key: str) -> np.ndarray:
         return stored
     vector = table._memo.get(key)
     if vector is None:
-        vector = fallback_vector(key, table.dim, table.fallback_seed)
-        if len(table._memo) * 3 * table.dim < _MEMO_FLOATS:
-            table._memo[key] = vector
+        vector = table._memo.store(
+            key, fallback_vector(key, table.dim, table.fallback_seed), 3 * table.dim)
     return vector
 
 
@@ -173,8 +174,7 @@ def _context_parts(
             lookup(table, "path:" + context.path_encoding),
             lookup(table, "tok:" + context.target_text),
         )
-        if len(table._memo) * 3 * table.dim < _MEMO_FLOATS:
-            table._memo[context] = parts
+        table._memo.store(context, parts, 3 * table.dim)
     return parts
 
 

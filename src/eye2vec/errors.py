@@ -1,6 +1,6 @@
 """Exception types shared across the eye2vec pipeline, the one reader of
-input files, which bounds their size, and the memo through which the
-readers of CSV and JSON files parse a text once."""
+input files, which bounds their size, and the one bounded memo type that
+every stop-when-full memo of the package is made of."""
 
 from __future__ import annotations
 
@@ -124,31 +124,41 @@ def _read_input(path: str | os.PathLike, newline: str | None = None) -> str:
     return text
 
 
-class _TextMemo:
-    """What a parser made of each text, keyed by the text's SHA-256 digest.
+class _Memo(dict):
+    """A memo that stops storing when full: a dict with a ``budget`` and the
+    ``charges`` of what it holds.
+
+    ``store(key, value, charge)`` returns ``value`` and keeps it under
+    ``key`` only if ``charges + charge <= budget``, so the charges never pass
+    the budget; once an entry does not fit, it is computed as on a miss and
+    not stored. Callers look up with ``get``, which gives ``None`` on a miss,
+    and call ``store`` only then, so no value may be ``None``. Stored values
+    are shared by every caller and must not be mutated.
 
     ``parsed(text, parse, *args)`` returns ``parse(text, *args)``, from the
     memo when the same text was parsed with the same ``args`` before. The
-    key is the 32-byte digest, or ``(*args, digest)`` when ``args`` are
-    given; the memo never holds the text itself. Each entry is charged its
-    text's length, and the charges never pass ``budget``: a text that would
-    take them past it is parsed as on a miss and not stored. A parse that
-    raises stores nothing, so a bad text raises on every call. Stored values
-    are shared by every caller and must not be mutated.
+    key is the text's 32-byte SHA-256 digest, or ``(*args, digest)`` when
+    ``args`` are given, so the memo never holds the text itself, and the
+    charge is the text's length. A parse that raises stores nothing, so a bad
+    text raises on every call.
     """
 
-    def __init__(self, budget: int) -> None:
+    __slots__ = ("budget", "charges")
+
+    def __init__(self, budget: int) -> None:  # dict.__new__ made it empty
         self.budget = budget
-        self.chars = 0
-        self.entries: dict = {}
+        self.charges = 0
+
+    def store(self, key, value: _T, charge: int) -> _T:
+        if self.charges + charge <= self.budget:
+            self[key] = value
+            self.charges += charge
+        return value
 
     def parsed(self, text: str, parse: Callable[..., _T], *args) -> _T:
         digest = hashlib.sha256(text.encode("utf-8")).digest()
         key = (*args, digest) if args else digest
-        value = self.entries.get(key)
+        value = self.get(key)
         if value is None:
-            value = parse(text, *args)
-            if self.chars + len(text) <= self.budget:
-                self.entries[key] = value
-                self.chars += len(text)
+            value = self.store(key, parse(text, *args), len(text))
         return value

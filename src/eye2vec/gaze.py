@@ -14,9 +14,10 @@ four columns of its CSV; its shape is checked once, where it is made, and
 ``read_fixations`` checks the header first, then converts and checks whole
 columns, and that one rule set also names the first bad row: over bad
 input, halving the body finds it. It reads the file on every call but
-parses a text only once per mode: a memo keyed by the mode and the text's
-SHA-256 digest keeps the columns of good texts, up to 2 Mi characters of
-text, and each call wraps them in a new ``Recording`` named after its file.
+parses a text only once per mode: a memo (``errors._Memo``) keyed by the
+mode and the text's SHA-256 digest keeps the columns of good texts, each
+charged its length against a budget of 2 Mi characters, and each call wraps
+them in a new ``Recording`` named after its file.
 ``convert_recording`` turns the x and y columns into line and col columns
 with ``to_grid``'s own arithmetic, building no objects.
 """
@@ -31,13 +32,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, OutOfViewport, _read_input, _TextMemo
+from .errors import FormatError, OutOfViewport, _Memo, _read_input
 
 PIXEL_HEADER = ["timestamp_ms", "x_px", "y_px", "duration_ms"]
 GRID_HEADER = ["timestamp_ms", "line", "col", "duration_ms"]
 _ALREADY_GRID = "fixation is already in grid mode"
 _FIXATION_MEMO_CHARS = 2**21  # the column memo's budget, charged by text length
-_column_memo = _TextMemo(_FIXATION_MEMO_CHARS)  # (mode, SHA-256 of a text) -> its columns
+_column_memo = _Memo(_FIXATION_MEMO_CHARS)  # (mode, SHA-256 of a text) -> its columns
 
 
 @dataclass(frozen=True)
@@ -249,15 +250,13 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
 
     The file is read on every call, so a changed file is never served
     stale. Its text is then parsed through a module-level memo keyed by
-    ``(mode, SHA-256 of the text)`` (``errors._TextMemo``), which holds the
-    four immutable column tuples, never the text or a ``Recording``: each
-    call returns a new ``Recording`` named after its own file, so two files
-    with the same text keep their own ids. Each entry is charged its text's
-    length, and the charges never pass ``_FIXATION_MEMO_CHARS``
+    ``(mode, SHA-256 of the text)`` (``errors._Memo.parsed``), which holds
+    the four immutable column tuples, never the text or a ``Recording``:
+    each call returns a new ``Recording`` named after its own file, so two
+    files with the same text keep their own ids. Each entry is charged its
+    text's length against a budget of ``_FIXATION_MEMO_CHARS``
     (2 Mi characters). An entry holds at most about 11.4 bytes a character
     (pixel rows such as ``257,0,0,257``), so the memo at most about 24 MB.
-    A text that would take the charges past the budget is parsed and not
-    stored, and a text that raises is never stored.
     Only repeated reads in one process gain; a one-shot read costs one
     digest more.
     """

@@ -7,23 +7,22 @@ count of each context; a context's ratio, its count over all transitions,
 keeps recordings of different lengths comparable.
 
 The linker reads each tree's lines, parents and depths from
-``minilang.tree_facts``, and keeps in that record's pair memo the path
-context of every leaf pair linked over the tree, self transitions included,
-so a pair that recurs across recordings is built and hashed once per tree.
-A context does not depend on ``LinkOptions``, so the pair alone is the key.
-The memo holds at most ``_PAIR_MEMO_SIZE`` (4096) pairs per tree; once
-full, new pairs are built as on a miss and not stored. At about 675 bytes a
-pair, of which about 225 are the context's stored string, the worst case
-over the 16 kept trees is about 44 MB.
+``minilang.tree_facts``, and keeps in that record's pair memo (an
+``errors._Memo``) the path context of every leaf pair linked over the tree,
+self transitions included, so a pair that recurs across recordings is built
+and hashed once per tree. A context does not depend on ``LinkOptions``, so
+the pair alone is the key. Each pair is charged one, against a budget of
+``minilang._PAIR_MEMO_SIZE`` (4096) per tree. At about 675 bytes a pair, of
+which about 225 are the context's stored string, the worst case over the 16
+kept trees is about 44 MB.
 
 ``TransitionProfile.content_hash`` is FNV-1a over one text: a header and
-one segment per entry. The module-level ``_profile_memo`` maps a profile's
-recording id and entries to that hash, so a recurring profile is hashed
-with one lookup, not one step per byte. Each stored profile is charged its
-entry count plus one, and the charges never pass ``_PROFILE_MEMO_BUDGET``
-(16,384): a profile that would take them past it is hashed as on a miss and
-not stored. At about 460 bytes a charge, contexts included, that is at most
-about 8 MB.
+one segment per entry. The module-level ``_profile_memo`` (an
+``errors._Memo``) maps a profile's recording id and entries to that hash,
+so a recurring profile is hashed with one lookup, not one step per byte.
+Each profile is charged its entry count plus one, against a budget of
+``_PROFILE_MEMO_BUDGET`` (16,384). At about 460 bytes a charge, contexts
+included, that is at most about 8 MB.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Literal
 
+from .errors import _Memo
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
 from .minilang import _LineIndex, AstNode, LeafToken, tree_facts
@@ -43,11 +43,9 @@ from .pathctx import PathContext, context_between
 
 DEFAULT_SNAP_TOL_COLS = 3
 
-_PAIR_MEMO_SIZE = 4096
 _PROFILE_MEMO_BUDGET = 16384
-
-_profile_memo: dict[tuple[str, tuple[tuple[PathContext, int], ...]], int] = {}
-_profile_memo_charges = 0
+# (recording_id, entries) -> content_hash; see the module docstring
+_profile_memo = _Memo(_PROFILE_MEMO_BUDGET)
 
 # a profile's canonical order; see TransitionProfile
 _CANONICAL = attrgetter("context_string", "source_text", "path_encoding")
@@ -89,11 +87,12 @@ class LinkOptions:
 class TransitionProfile:
     """One recording's transition count per path context.
 
-    ``entries`` is stored sorted by context string, the canonical order that
-    ``compress`` and ``content_hash`` read, whatever order it was given in,
-    as a read-only mapping of the profile's own; ``total_transitions`` is
-    the sum of its counts. A context's ratio, ``count / total_transitions``,
-    is computed where it is used.
+    ``recording_id`` must be a nonempty string. ``entries`` is stored sorted
+    by context string, the canonical order that ``compress`` and
+    ``content_hash`` read, whatever order it was given in, as a read-only
+    mapping of the profile's own; ``total_transitions`` is the sum of its
+    counts. A context's ratio, ``count / total_transitions``, is computed
+    where it is used.
 
     Two distinct contexts render one string when a leaf text holds commas
     (``x``, ``P``, ``y,P,z`` and ``x,P,y``, ``P``, ``z``), so ties are broken
@@ -105,6 +104,8 @@ class TransitionProfile:
     total_transitions: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.recording_id, str) or not self.recording_id:
+            raise TypeError("recording_id must be a nonempty string")
         for count in self.entries.values():
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"a count must be a positive integer, not {count!r}")
@@ -129,17 +130,13 @@ class TransitionProfile:
         met before is answered from ``_profile_memo`` (see the module
         docstring); a first one pays the byte loop once.
         """
-        global _profile_memo_charges
         entries = tuple(self.entries.items())
         key = (self.recording_id, entries)
         h = _profile_memo.get(key)
         if h is None:
             segments = "".join(f"\x1e{ctx.hash}:{count}" for ctx, count in entries)
-            h = fnv1a64(f"{self.recording_id}\x1f{self.total_transitions}{segments}")
-            charge = len(entries) + 1
-            if _profile_memo_charges + charge <= _PROFILE_MEMO_BUDGET:
-                _profile_memo[key] = h
-                _profile_memo_charges += charge
+            text = f"{self.recording_id}\x1f{self.total_transitions}{segments}"
+            h = _profile_memo.store(key, fnv1a64(text), len(entries) + 1)
         return h
 
     def sorted_entries(self) -> list[tuple[PathContext, int]]:
@@ -255,8 +252,6 @@ def build_profile(
     for pair, count in pairs.items():
         context = memo.get(pair)
         if context is None:
-            context = context_between(*pair, facts.parents, facts.depths)
-            if len(memo) < _PAIR_MEMO_SIZE:
-                memo[pair] = context
+            context = memo.store(pair, context_between(*pair, facts.parents, facts.depths), 1)
         counts[context] = counts.get(context, 0) + count
     return TransitionProfile(recording.recording_id, counts)

@@ -35,7 +35,9 @@ of the package reads of a tree comes from one walk in source order,
 ``tree_facts``, whose record is kept beside ``parse``'s cache for the last
 ``_TREE_CACHE_SIZE`` distinct trees, keyed by the tree itself (trees hash
 by identity), so a tree seen before is walked no more. The record also
-carries the linker's pair memo; ``tree_facts.cache_clear()`` frees both.
+carries the linker's pair memo, an ``errors._Memo`` keyed by leaf pair, each
+pair charged one against a budget of ``_PAIR_MEMO_SIZE`` (4096);
+``tree_facts.cache_clear()`` frees both.
 It is kept off the tree, which it references, so that the tree stays
 acyclic. A tree must not be mutated once its facts are taken.
 """
@@ -49,7 +51,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import LexError, ParseError
+from .errors import LexError, ParseError, _Memo
 
 KEYWORDS = frozenset({"class", "int", "boolean", "void", "if", "else", "while", "for", "return"})
 BUILTIN_TYPES = frozenset({"int", "boolean", "void"})
@@ -84,6 +86,8 @@ INT64_MAX = 2**63 - 1
 # Twice the eight programs of a perfbench run: an LRU cache read in turn over
 # one more program than it holds misses on every call.
 _TREE_CACHE_SIZE = 16
+# How many leaf pairs a tree's pair memo holds, each charged one.
+_PAIR_MEMO_SIZE = 4096
 
 # One alternative per token class, tried in order. ``\d`` matches what
 # str.isdecimal accepts and ``\w`` what str.isalnum accepts, plus "_"; a word
@@ -230,7 +234,7 @@ class TreeFacts(NamedTuple):
     depths: dict[AstNode, int]
     lines: _LineIndex
     # The linker's path context of each leaf pair linked over the tree so far.
-    pair_memo: dict[tuple[LeafToken, LeafToken], object]
+    pair_memo: _Memo
 
 
 @functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
@@ -265,7 +269,7 @@ def tree_facts(root: AstNode) -> TreeFacts:
             if isinstance(child, AstNode):
                 depths[child] = depth
         stack += item.children[::-1]
-    return TreeFacts(found, parents, depths, lines, {})
+    return TreeFacts(found, parents, depths, lines, _Memo(_PAIR_MEMO_SIZE))
 
 
 def leaves(root: AstNode) -> list[LeafToken]:

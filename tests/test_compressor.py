@@ -13,7 +13,7 @@ from oracles import oracle_compress
 from eye2vec import compressor, embeddings
 from eye2vec.compressor import EyeVector, compress, read_eye_vector
 from eye2vec.embeddings import EmbeddingTable, context_vector, load_table
-from eye2vec.errors import EmptyProfileError, FormatError, ZeroVectorError, _TextMemo
+from eye2vec.errors import EmptyProfileError, FormatError, ZeroVectorError, _Memo
 from eye2vec.linker import TransitionProfile, build_profile
 from eye2vec.pathctx import PathContext
 from eye2vec.simulator import Strategy, simulate
@@ -163,9 +163,9 @@ class TestAgainstOracle:
         # the oracle reads a copy of the table, so compress starts from an empty memo
         expected = _outcome(oracle_compress, profile, dataclasses.replace(table), normalize)
         block_floats = block_floats or compressor._BLOCK_FLOATS
-        memo_floats = memo_floats or embeddings._MEMO_FLOATS
-        with mock.patch.object(compressor, "_BLOCK_FLOATS", block_floats), \
-                mock.patch.object(embeddings, "_MEMO_FLOATS", memo_floats):
+        # the drawn table's own memo: its budget was read when it was made
+        table._memo.budget = memo_floats or embeddings._MEMO_FLOATS
+        with mock.patch.object(compressor, "_BLOCK_FLOATS", block_floats):
             cold = _outcome(compress, profile, table, normalize)
             warm = _outcome(compress, profile, table, normalize)
         assert cold == warm == expected
@@ -338,7 +338,7 @@ class TestEyeVectorJson:
 @pytest.fixture()
 def read_memo(monkeypatch):
     """An empty read memo for one test; the module's own is put back after."""
-    memo = _TextMemo(compressor._READ_MEMO_CHARS)
+    memo = _Memo(compressor._READ_MEMO_CHARS)
     monkeypatch.setattr(compressor, "_read_memo", memo)
     return memo
 
@@ -356,7 +356,7 @@ class TestReadMemo:
         assert read_eye_vector(path).values.tolist() == [1.0, 2.0]
         path.write_text(_vector_text("r", [3.0, 4.0]), encoding="utf-8")
         assert read_eye_vector(path).values.tolist() == [3.0, 4.0]
-        assert len(read_memo.entries) == 2
+        assert len(read_memo) == 2
 
     def test_malformed_file_raises_every_time_and_is_not_stored(self, tmp_path, read_memo):
         path = tmp_path / "v.json"
@@ -368,7 +368,7 @@ class TestReadMemo:
                 read_eye_vector(path)
             messages.add(str(caught.value))
         assert len(messages) == 1
-        assert read_memo.entries == {} and read_memo.chars == 0
+        assert read_memo == {} and read_memo.charges == 0
 
     def test_equal_bytes_share_one_entry(self, tmp_path, read_memo):
         text = _vector_text("r", [0.5, -0.25], {"source": "s"})
@@ -376,8 +376,8 @@ class TestReadMemo:
         first.write_text(text, encoding="utf-8")
         second.write_text(text, encoding="utf-8")
         assert read_eye_vector(second) is read_eye_vector(first)
-        assert len(read_memo.entries) == 1
-        assert read_memo.chars == len(text)
+        assert len(read_memo) == 1
+        assert read_memo.charges == len(text)
 
     def test_text_is_keyed_as_parsed(self, tmp_path, read_memo):
         # CRLF reads as LF, so both files parse the same text
@@ -401,10 +401,10 @@ class TestReadMemo:
         for text in texts:  # a text is stored while it fits in what is left
             if charged + len(text) <= budget:
                 charged, stored = charged + len(text), stored + 1
-        assert (len(read_memo.entries), read_memo.chars) == (stored, charged)
+        assert (len(read_memo), read_memo.charges) == (stored, charged)
         assert [read_eye_vector(path).to_json() for path in paths] == first
         assert first == [EyeVector.from_json(text).to_json() for text in texts]
-        assert len(read_memo.entries) == stored
+        assert len(read_memo) == stored
 
     def test_entry_holds_its_vector_and_key_not_its_text(self, tmp_path, read_memo):
         # 2 MB of trailing whitespace parses to a two-float vector
@@ -416,8 +416,8 @@ class TestReadMemo:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert list(read_memo.entries.values()) == [vector]
-        assert [len(key) for key in read_memo.entries] == [32]
+        assert list(read_memo.values()) == [vector]
+        assert [len(key) for key in read_memo] == [32]
         assert held < 20_000
 
 

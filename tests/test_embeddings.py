@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import math
 import pickle
 
 import numpy as np
@@ -115,6 +114,15 @@ class TestLoadTable:
 def test_table_dim_above_the_limit(dim):
     with pytest.raises(ValueError, match=f"dim must be at most {MAX_DIM}"):
         EmbeddingTable(dim=dim)
+
+
+@pytest.mark.parametrize("dim", [2.0, True, np.int64(2)])
+def test_dim_that_is_not_an_int_is_refused(dim):
+    message = f"^dim must be an integer, not {type(dim).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        EmbeddingTable(dim=dim)
+    with pytest.raises(TypeError, match=message):
+        fallback_vector("tok:a", dim, 0)
 
 
 def test_dim_reassigned_above_the_limit_is_refused_before_allocating():
@@ -319,7 +327,7 @@ class TestContextMemo:
 
     def test_memo_stops_growing_at_its_bound(self, monkeypatch):
         # an entry is charged 3 * dim = 9 floats, so a budget admits
-        # ceil(budget / 9) entries: fallbacks and contexts alike
+        # budget // 9 entries: fallbacks and contexts alike
         contexts = [PathContext(f"t{i}", f"P{i % 2}", "u") for i in range(7)]
         keys = ["tok:t0", "path:P5", "tok:x", "tok:u"]
         full = EmbeddingTable(dim=3, entries={"tok:u": [0.0, 1.0, -0.0]}, fallback_seed=9)
@@ -332,7 +340,7 @@ class TestContextMemo:
             for _ in range(2):
                 assert [context_vector(table, ctx).tobytes() for ctx in contexts] == vectors
                 assert [lookup(table, key).tobytes() for key in keys] == fallbacks
-                assert list(table._memo) == list(full._memo)[: math.ceil(budget / 9)]
+                assert list(table._memo) == list(full._memo)[: budget // 9]
                 with pytest.raises(ValueError, match="namespaced"):
                     lookup(table, "x")
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eye2vec import gaze
-from eye2vec.errors import FormatError, OutOfViewport, _TextMemo
+from eye2vec.errors import FormatError, OutOfViewport, _Memo
 from eye2vec.gaze import (
     GRID_HEADER,
     PIXEL_HEADER,
@@ -357,10 +357,10 @@ class TestReadAgainstRowLoop:
         path = tmp_path_factory.mktemp("csv") / "rec.csv"
         path.write_text(text, encoding="utf-8")
         want = _outcome(oracle_read_fixations, path, mode)
-        memo = _TextMemo(gaze._FIXATION_MEMO_CHARS)
+        memo = _Memo(gaze._FIXATION_MEMO_CHARS)
         with mock.patch.object(gaze, "_column_memo", memo):
             assert _outcome(read_fixations, path, mode) == want  # a miss
-            assert memo.chars == (len(text) if want[0] == "ok" else 0)
+            assert memo.charges == (len(text) if want[0] == "ok" else 0)
             assert _outcome(read_fixations, path, mode) == want  # a hit, or a miss again
         # the column checks pass exactly the files the row loop accepts
         rows = list(csv.reader(io.StringIO(text)))[1:]
@@ -423,7 +423,7 @@ class TestReadAgainstRowLoop:
 @pytest.fixture()
 def column_memo(monkeypatch):
     """An empty fixation memo for one test; the module's own is put back after."""
-    memo = _TextMemo(gaze._FIXATION_MEMO_CHARS)
+    memo = _Memo(gaze._FIXATION_MEMO_CHARS)
     monkeypatch.setattr(gaze, "_column_memo", memo)
     return memo
 
@@ -443,8 +443,8 @@ class TestFixationMemo:
         assert read_fixations(path, "grid").columns == ((0,), (1,), (1,), (10,))
         path.write_text(new, encoding="utf-8")
         assert read_fixations(path, "grid").columns == ((0, 5), (2, 4), (3, 4), (10, 20))
-        assert set(column_memo.entries) == {_key("grid", old), _key("grid", new)}
-        assert column_memo.chars == len(old) + len(new)
+        assert set(column_memo) == {_key("grid", old), _key("grid", new)}
+        assert column_memo.charges == len(old) + len(new)
 
     @pytest.mark.parametrize("text,row", [
         (_grid_text("0,1,1,10", "5,1,1,10", "4,1,1,10"), 4),
@@ -460,7 +460,7 @@ class TestFixationMemo:
                 read_fixations(path, "grid")
             errors.add((caught.value.row, caught.value.message))
         assert len(errors) == 1 and errors.pop()[0] == row
-        assert column_memo.entries == {} and column_memo.chars == 0
+        assert column_memo == {} and column_memo.charges == 0
 
     def test_same_text_keeps_each_file_name(self, tmp_path, column_memo):
         text = _grid_text("0,1,1,10", "5,2,2,10")
@@ -468,8 +468,8 @@ class TestFixationMemo:
         second = read_fixations(write(tmp_path, "bob.csv", text), "grid")
         assert (first.recording_id, second.recording_id) == ("alice", "bob")
         assert first.columns is second.columns
-        assert set(column_memo.entries) == {_key("grid", text)}
-        assert column_memo.chars == len(text)
+        assert set(column_memo) == {_key("grid", text)}
+        assert column_memo.charges == len(text)
 
     def test_pixel_text_read_in_grid_mode_raises_the_header_error(self, tmp_path, column_memo):
         text = "timestamp_ms,x_px,y_px,duration_ms\n0,1.5,2.5,10\n"
@@ -478,7 +478,7 @@ class TestFixationMemo:
         with pytest.raises(FormatError) as caught:
             read_fixations(path, "grid")
         assert caught.value.row == 1 and "expected header" in caught.value.message
-        assert set(column_memo.entries) == {_key("pixel", text)}
+        assert set(column_memo) == {_key("pixel", text)}
 
     def test_text_is_keyed_as_parsed(self, tmp_path, column_memo):
         # the CSV reader keeps a quoted line break as it is, so CRLF is another text
@@ -488,7 +488,7 @@ class TestFixationMemo:
         (tmp_path / "crlf.csv").write_bytes(crlf.encode("utf-8"))
         second = read_fixations(tmp_path / "crlf.csv", "grid")
         assert first.columns == second.columns
-        assert set(column_memo.entries) == {_key("grid", lf), _key("grid", crlf)}
+        assert set(column_memo) == {_key("grid", lf), _key("grid", crlf)}
 
     @pytest.mark.parametrize("budget", [0, 1, 200, 2**21])
     def test_memo_stops_growing_at_its_budget(self, tmp_path, column_memo, monkeypatch, budget):
@@ -501,10 +501,10 @@ class TestFixationMemo:
         for text in texts:  # a text is stored while it fits in what is left
             if charged + len(text) <= budget:
                 charged, stored = charged + len(text), stored + [_key("grid", text)]
-        assert (set(column_memo.entries), column_memo.chars) == (set(stored), charged)
+        assert (set(column_memo), column_memo.charges) == (set(stored), charged)
         assert [read_fixations(path, "grid") for path in paths] == first
         assert first == [oracle_read_fixations(path, "grid") for path in paths]
-        assert len(column_memo.entries) == len(stored)
+        assert len(column_memo) == len(stored)
 
     @pytest.mark.parametrize("row,bound", [
         ("0,0,0,1", 10.5),     # the shortest row: two new floats, small ints
@@ -519,8 +519,8 @@ class TestFixationMemo:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert column_memo.chars == len(text)
-        assert held <= bound * column_memo.chars
+        assert column_memo.charges == len(text)
+        assert held <= bound * column_memo.charges
 
 
 def _per_row(recording, grid):

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eye2vec import linker
+from eye2vec.errors import _Memo
 from eye2vec.hashing import SplitMix64, fnv1a64, splitmix64_block
 from eye2vec.linker import TransitionProfile
 from eye2vec.pathctx import PathContext
@@ -49,7 +50,8 @@ _COUNTS = st.one_of(st.integers(1, 20), st.integers(1, 10**40))
 
 @st.composite
 def profiles(draw):
-    recording_id = draw(st.one_of(st.text(max_size=12), st.sampled_from(["r\u00e9\u4e2d\U0001f600", ""])))
+    recording_id = draw(st.one_of(st.text(min_size=1, max_size=12),
+                                  st.just("r\u00e9\u4e2d\U0001f600")))
     return TransitionProfile(recording_id, draw(st.dictionaries(_CONTEXTS, _COUNTS, max_size=12)))
 
 
@@ -65,8 +67,7 @@ def test_content_hash_matches_one_string_hashed_byte_by_byte(profile):
 def test_a_recurring_profile_runs_no_byte_loop(monkeypatch):
     contexts = [PathContext(f"s{i}", "Name\u2191Call", "t\u00e9") for i in range(40)]
     profile = TransitionProfile("r\u00e9", {c: 10**i for i, c in enumerate(contexts, 1)})
-    monkeypatch.setattr(linker, "_profile_memo", {})
-    monkeypatch.setattr(linker, "_profile_memo_charges", 0)
+    monkeypatch.setattr(linker, "_profile_memo", _Memo(linker._PROFILE_MEMO_BUDGET))
     calls = []
 
     def once(data):
@@ -79,7 +80,7 @@ def test_a_recurring_profile_runs_no_byte_loop(monkeypatch):
     # an equal profile made again from its entries, in reverse order
     again = TransitionProfile("r\u00e9", dict(reversed(profile.entries.items())))
     assert again.content_hash() == profile.content_hash() == want == oracle_content_hash(profile)
-    assert len(calls) == 1 and linker._profile_memo_charges == 41
+    assert len(calls) == 1 and linker._profile_memo.charges == 41
 
 
 def test_shared_segments_under_other_ids_hash_like_the_oracle(monkeypatch):
@@ -90,16 +91,13 @@ def test_shared_segments_under_other_ids_hash_like_the_oracle(monkeypatch):
                 for n in range(4)]
     assert len({oracle_content_hash(p) for p in profiles}) == len(profiles)
     for order in (profiles, profiles[::-1]):
-        monkeypatch.setattr(linker, "_profile_memo", {})
-        monkeypatch.setattr(linker, "_profile_memo_charges", 0)
+        monkeypatch.setattr(linker, "_profile_memo", _Memo(linker._PROFILE_MEMO_BUDGET))
         for _ in range(2):
             assert [p.content_hash() for p in order] == [oracle_content_hash(p) for p in order]
 
 
 def test_profile_memo_stops_storing_at_its_budget(monkeypatch):
-    monkeypatch.setattr(linker, "_PROFILE_MEMO_BUDGET", 40)
-    monkeypatch.setattr(linker, "_profile_memo", {})
-    monkeypatch.setattr(linker, "_profile_memo_charges", 0)
+    monkeypatch.setattr(linker, "_profile_memo", _Memo(40))
     # charges 6, 31 and 61: the third would pass the budget and is not stored
     for n, stored in ((5, 1), (30, 2), (60, 2)):
         contexts = [PathContext(f"a{i}", "P", f"b{n}") for i in range(n)]
@@ -107,10 +105,10 @@ def test_profile_memo_stops_storing_at_its_budget(monkeypatch):
         for _ in range(2):
             assert profile.content_hash() == oracle_content_hash(profile)
         assert len(linker._profile_memo) == stored
-    assert linker._profile_memo_charges == 37
+    assert linker._profile_memo.charges == 37
     # an empty profile is charged one, so empty profiles fill it too
     for n in range(1000):
         profile = TransitionProfile(f"e{n}")
         assert profile.content_hash() == oracle_content_hash(profile)
     assert len(linker._profile_memo) == 2 + 3
-    assert linker._profile_memo_charges == 40
+    assert linker._profile_memo.charges == 40

@@ -13,7 +13,7 @@ import eye2vec
 from eye2vec import errors
 from eye2vec.cli import main
 from eye2vec.compressor import read_eye_vector
-from eye2vec.embeddings import load_table
+from eye2vec.embeddings import _MEMO_FLOATS, MAX_DIM, load_table
 from eye2vec.errors import MAX_INPUT_BYTES, FormatError
 from eye2vec.gaze import read_fixations, read_labels
 
@@ -90,6 +90,7 @@ MANY_FALLBACKS = textwrap.dedent(
     # 1,002 distinct absent keys: 512 KB each if every fallback were kept
     counts = {PathContext(f"s{i}", f"P{i}", f"t{i}"): 1 for i in range(334)}
     compress(TransitionProfile("r", counts), table)
+    print(len(table._memo))
     with open("/proc/self/status") as status:
         print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
     """
@@ -99,11 +100,14 @@ MANY_FALLBACKS = textwrap.dedent(
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
 def test_fallbacks_at_the_largest_dim_stay_within_the_memo_budget():
     # About 500 MB of fallback vectors would be kept without the budget;
-    # with it the memo holds at most 16 MiB. The child reads its own peak
-    # RSS: a spawned child's ru_maxrss can include the spawning process's.
+    # with it the memo holds at most 16 MiB, the entries that fit whole. The
+    # child reads its own peak RSS: a spawned child's ru_maxrss can include
+    # the spawning process's.
     src = str(Path(eye2vec.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{MANY_FALLBACKS}"],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert int(result.stdout) < 100 * 1024  # peak KiB
+    held, peak = map(int, result.stdout.split())
+    assert held == _MEMO_FLOATS // (3 * MAX_DIM)
+    assert peak < 100 * 1024  # KiB

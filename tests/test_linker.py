@@ -22,14 +22,13 @@ from eye2vec.gaze import (
     write_fixations,
 )
 from eye2vec.linker import (
-    _PAIR_MEMO_SIZE,
     LinkOptions,
     MappedFixation,
     TransitionProfile,
     build_profile,
     map_fixation,
 )
-from eye2vec.minilang import leaves, parse, tree_facts
+from eye2vec.minilang import _PAIR_MEMO_SIZE, leaves, parse, tree_facts
 from eye2vec.pathctx import PathContext, context_between, path_between
 from eye2vec.simulator import Strategy, simulate
 from oracles import (
@@ -279,6 +278,11 @@ class TestProfileValue:
         for name, value in (("recording_id", "s"), ("entries", {}), ("total_transitions", 3)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(profile, name, value)
+
+    @pytest.mark.parametrize("recording_id", ["", 7, ["a"]])
+    def test_recording_id_must_be_a_nonempty_string(self, recording_id):
+        with pytest.raises(TypeError, match="^recording_id must be a nonempty string$"):
+            TransitionProfile(recording_id, {PathContext("a", "P", "b"): 2})
 
     def test_entries_cannot_be_changed(self):
         ab, ba = PathContext("a", "P", "b"), PathContext("b", "P", "a")
