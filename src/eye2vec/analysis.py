@@ -362,7 +362,7 @@ def nearest_centroid_predict(train: LabeledSet, test: Sequence[EyeVector]) -> li
     centroids = _centroids(unit, labels, np.ones(len(labels), dtype=bool))
     # Stacking the test vectors with a centroid checks their lengths.
     rows = _stack([*test, centroids[0][1]])[:-1]
-    uu = np.einsum("ij,ij->i", rows, rows)
+    uu = _sq_lengths(rows)
     with np.errstate(all="ignore"):
         scores = rows @ np.stack([c for _, c in centroids]).T / np.sqrt(uu)[:, None]
     best, clear = _clear_best(scores, uu, _MARGIN)
@@ -412,13 +412,13 @@ def _held_out_predictions(train: LabeledSet) -> list[str]:
     sums = (index == np.arange(k)[:, None]).astype(np.float64) @ unit
     products = unit @ np.concatenate([np.stack([c for _, c in full]), sums]).T
     scores, toward_sum = products[:, :k], products[rows, k + index]
-    self_dots = np.einsum("ij,ij->i", unit, unit)
+    self_dots = _sq_lengths(unit)
     rest_norms = np.sqrt(np.maximum(
-        np.einsum("ij,ij->i", sums, sums)[index] - 2.0 * toward_sum + self_dots, 0.0))
+        _sq_lengths(sums)[index] - 2.0 * toward_sum + self_dots, 0.0))
     own_counts = counts[index]
     with np.errstate(all="ignore"):
         scores[rows, index] = (toward_sum - self_dots) / rest_norms
-        best, clear = _clear_best(scores, np.einsum("ij,ij->i", data, data),
+        best, clear = _clear_best(scores, _sq_lengths(data),
                                   _MARGIN * (own_counts / rest_norms) ** 2)
     clear &= rest_norms > _NEAR_ZERO * own_counts
     predicted = names[best].tolist()

@@ -28,7 +28,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .embeddings import EmbeddingTable, _context_parts
-from .errors import EmptyProfileError, FormatError, ZeroVectorError, _Memo, _read_input
+from .errors import (EmptyProfileError, FormatError, ZeroVectorError, _Memo,
+                     _check_recording_id, _read_input)
 from .linker import TransitionProfile
 
 _BLOCK_FLOATS = 2**18
@@ -49,8 +50,7 @@ class EyeVector:
     meta: Mapping
 
     def __post_init__(self) -> None:
-        if not isinstance(self.recording_id, str) or not self.recording_id:
-            raise TypeError("recording_id must be a nonempty string")
+        _check_recording_id(self.recording_id)
         if not isinstance(self.dim, int) or isinstance(self.dim, bool):
             raise TypeError(f"dim must be an integer, not {type(self.dim).__name__}")
         if not isinstance(self.normalized, bool):

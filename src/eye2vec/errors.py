@@ -1,6 +1,7 @@
 """Exception types shared across the eye2vec pipeline, the one reader of
-input files, which bounds their size, and the one bounded memo type that
-every stop-when-full memo of the package is made of."""
+input files, which bounds their size, the one check of a recording id, and
+the one bounded memo type that every stop-when-full memo of the package is
+made of."""
 
 from __future__ import annotations
 
@@ -122,6 +123,14 @@ def _read_input(path: str | os.PathLike, newline: str | None = None) -> str:
     if newline is None and "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def _check_recording_id(recording_id: object) -> None:
+    """Raise ``TypeError`` unless ``recording_id`` is a nonempty ``str``: the
+    one rule for the id of a ``Recording``, ``TransitionProfile`` and
+    ``EyeVector``, each checked where it is made."""
+    if not isinstance(recording_id, str) or not recording_id:
+        raise TypeError("recording_id must be a nonempty string")
 
 
 class _Memo(dict):

@@ -9,8 +9,12 @@ Neither format carries any personal identifier; a recording is just an id
 (derived from the file name) plus fixations.
 
 A recording is in one mode, pixel or grid, and holds its fixations as the
-four columns of its CSV; its shape is checked once, where it is made, and
-``Recording.fixations`` builds ``Fixation`` objects only when asked.
+four columns of its CSV; ``Recording.fixations`` builds ``Fixation``
+objects only when asked. One table, ``_MODES``, gives each mode's header,
+the type of its two position fields and its position class, and every
+reader and writer of a mode looks there. A recording's id must be a
+nonempty string (``TypeError`` otherwise), checked where the recording is
+made: every recording is made through one initialiser, which checks it.
 ``read_fixations`` checks the header first, then converts and checks whole
 columns, and that one rule set also names the first bad row: over bad
 input, halving the body finds it. It reads the file on every call but
@@ -32,7 +36,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, OutOfViewport, _Memo, _read_input
+from .errors import FormatError, OutOfViewport, _Memo, _check_recording_id, _read_input
 
 PIXEL_HEADER = ["timestamp_ms", "x_px", "y_px", "duration_ms"]
 GRID_HEADER = ["timestamp_ms", "line", "col", "duration_ms"]
@@ -58,6 +62,12 @@ class Fixation:
     timestamp_ms: int
     duration_ms: int
     position: PixelPos | GridPos
+
+
+# mode -> (CSV header, type of its two position fields, position class); the
+# two position fields are named as in the header. Grid comes first: an empty
+# fixation list is a grid recording.
+_MODES = {"grid": (GRID_HEADER, int, GridPos), "pixel": (PIXEL_HEADER, float, PixelPos)}
 
 
 @dataclass(frozen=True)
@@ -86,38 +96,36 @@ class Recording:
     is ``"pixel"`` and ``(timestamp_ms, line, col, duration_ms)`` when it is
     ``"grid"``. ``Recording(recording_id, fixations)`` transposes a list of
     fixations; an empty list gives grid mode, and a list that mixes pixel and
-    grid positions raises ``ValueError``. ``fixations`` builds a new list of
-    ``Fixation`` on each access.
+    grid positions raises ``ValueError``. ``recording_id`` must be a nonempty
+    string, else ``TypeError``: every recording is made through ``_init``,
+    which checks it. ``fixations`` builds a new list of ``Fixation`` on each
+    access.
     """
 
     def __init__(self, recording_id: str, fixations: Iterable[Fixation] = ()) -> None:
-        if not recording_id:
-            raise ValueError("recording_id must be nonempty")
-        self.recording_id = recording_id
         fixations = list(fixations)
-        if all(isinstance(f.position, GridPos) for f in fixations):
-            self.mode = "grid"
-            first = tuple(f.position.line for f in fixations)
-            second = tuple(f.position.col for f in fixations)
-        elif all(isinstance(f.position, PixelPos) for f in fixations):
-            self.mode = "pixel"
-            first = tuple(f.position.x_px for f in fixations)
-            second = tuple(f.position.y_px for f in fixations)
+        for mode, (header, _, position) in _MODES.items():
+            if all(isinstance(f.position, position) for f in fixations):
+                break
         else:
             raise ValueError("recording mixes pixel and grid fixations")
-        self.columns: _Columns = (
-            tuple(f.timestamp_ms for f in fixations), first, second,
-            tuple(f.duration_ms for f in fixations))
+        t, a, b, d = header
+        read = operator.attrgetter(t, f"position.{a}", f"position.{b}", d)
+        self._init(recording_id, mode, tuple(zip(*map(read, fixations))) or ((),) * 4)
+
+    def _init(self, recording_id: str, mode: str, columns: _Columns) -> None:
+        _check_recording_id(recording_id)
+        self.recording_id, self.mode, self.columns = recording_id, mode, columns
 
     @classmethod
     def _from_columns(cls, recording_id: str, mode: str, columns: _Columns) -> "Recording":
-        recording = cls(recording_id)
-        recording.mode, recording.columns = mode, columns
+        recording = cls.__new__(cls)
+        recording._init(recording_id, mode, columns)
         return recording
 
     @property
     def fixations(self) -> list[Fixation]:
-        position = GridPos if self.mode == "grid" else PixelPos
+        position = _MODES[self.mode][2]
         return [Fixation(t, d, position(a, b)) for t, a, b, d in zip(*self.columns)]
 
     def __eq__(self, other: object) -> bool:
@@ -178,10 +186,10 @@ def _parse_columns(body: list[list[str]], mode: str) -> _Columns | str:
         return (), (), (), ()
     if set(map(len, body)) != {4}:
         return f"expected 4 fields, got {len(body[-1])}"
-    number, names = (float, ("x_px", "y_px")) if mode == "pixel" else (int, ("line", "col"))
+    names, number, _ = _MODES[mode]
     text = list(zip(*body))
-    timestamps = _convert(text[0], int, "timestamp_ms")
-    durations = _convert(text[3], int, "duration_ms")
+    timestamps = _convert(text[0], int, names[0])
+    durations = _convert(text[3], int, names[3])
     for column in (timestamps, durations):
         if isinstance(column, str):
             return column
@@ -191,7 +199,7 @@ def _parse_columns(body: list[list[str]], mode: str) -> _Columns | str:
         return "duration_ms must be positive"
     if not all(map(operator.le, timestamps, timestamps[1:])):
         return f"timestamp {timestamps[-1]} decreases below {timestamps[-2]}"
-    first, second = _convert(text[1], number, names[0]), _convert(text[2], number, names[1])
+    first, second = _convert(text[1], number, names[1]), _convert(text[2], number, names[2])
     for column in (first, second):
         if isinstance(column, str):
             return column
@@ -221,7 +229,7 @@ def _first_bad_row(body: list[list[str]], mode: str) -> FormatError:
 def _read_columns(text: str, mode: str) -> _Columns:
     """The columns of the fixation CSV ``text`` in ``mode``; the header is
     checked before any row of the body is read."""
-    expected_header = PIXEL_HEADER if mode == "pixel" else GRID_HEADER
+    expected_header = _MODES[mode][0]
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -260,7 +268,7 @@ def read_fixations(path: str | Path, mode: str) -> Recording:
     Only repeated reads in one process gain; a one-shot read costs one
     digest more.
     """
-    if mode not in ("pixel", "grid"):
+    if mode not in _MODES:
         raise ValueError(f"mode must be 'pixel' or 'grid', got {mode!r}")
     path = Path(path)
     columns = _column_memo.parsed(_read_input(path, newline=""), _read_columns, mode)
@@ -274,13 +282,9 @@ def _format_pixel(value: float) -> str:
 
 def format_fixations(recording: Recording) -> str:
     """CSV text of a recording in its mode."""
-    if recording.mode == "grid":
-        header = GRID_HEADER
-        rows = [f"{t},{line},{col},{d}" for t, line, col, d in zip(*recording.columns)]
-    else:
-        header = PIXEL_HEADER
-        rows = [f"{t},{_format_pixel(x)},{_format_pixel(y)},{d}"
-                for t, x, y, d in zip(*recording.columns)]
+    header, number, _ = _MODES[recording.mode]
+    cell = _format_pixel if number is float else str
+    rows = [f"{t},{cell(a)},{cell(b)},{d}" for t, a, b, d in zip(*recording.columns)]
     return "\n".join([",".join(header), *rows]) + "\n"
 
 

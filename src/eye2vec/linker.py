@@ -35,7 +35,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Literal
 
-from .errors import _Memo
+from .errors import _Memo, _check_recording_id
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
 from .minilang import _LineIndex, AstNode, LeafToken, tree_facts
@@ -104,8 +104,7 @@ class TransitionProfile:
     total_transitions: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.recording_id, str) or not self.recording_id:
-            raise TypeError("recording_id must be a nonempty string")
+        _check_recording_id(self.recording_id)
         for count in self.entries.values():
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"a count must be a positive integer, not {count!r}")

@@ -2,7 +2,9 @@
 
 Two reading strategies provide labeled ground truth for end-to-end tests:
 ``linear`` walks the leaves in source order, ``defuse`` bounces between a
-variable's declaration and its later uses.
+variable's declaration and its later uses. ``simulate`` makes a grid
+recording's four columns directly, one value per fixation in each, and
+builds no ``Fixation`` objects.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoIdentifiers
-from .gaze import Fixation, GridPos, Recording
+from .gaze import Recording
 from .hashing import SplitMix64
 from .minilang import AstNode, Child, LeafToken, tree_facts
 
@@ -37,13 +39,12 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.name not in STRATEGY_NAMES:
             raise ValueError(f"strategy must be one of {STRATEGY_NAMES}, got {self.name!r}")
+        for name in ("jitter_cols", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
         if self.jitter_cols < 0:
             raise ValueError("jitter_cols must be >= 0")
-
-
-def _midpoint(leaf: LeafToken) -> GridPos:
-    span = leaf.span
-    return GridPos(span.start_line, (span.start_col + span.end_col) // 2)
 
 
 def _declared_identifiers(
@@ -71,8 +72,11 @@ def simulate(
 ) -> Recording:
     """Generate ``n_fixations`` grid fixations over ``root``.
 
-    Timestamps advance 250 ms per fixation with a fixed 200 ms duration;
-    columns are jittered uniformly within ``strategy.jitter_cols``.
+    Each fixation sits on its target leaf's first line, at the middle
+    column of its span. Timestamps advance 250 ms per fixation with a fixed
+    200 ms duration; columns are jittered uniformly within
+    ``strategy.jitter_cols``, one draw per fixation in order, and kept at
+    least 1.
     """
     if n_fixations < 2:
         raise ValueError("n_fixations must be >= 2")
@@ -103,12 +107,11 @@ def simulate(
                 break
             targets.append(uses[stream.randint(len(uses))])
 
-    fixations = []
-    for i, leaf in enumerate(targets):
-        pos = _midpoint(leaf)
-        col = max(1, pos.col + stream.randint_symmetric(strategy.jitter_cols))
-        fixations.append(
-            Fixation(i * FIXATION_STEP_MS, FIXATION_DURATION_MS, GridPos(pos.line, col))
-        )
+    spans = [leaf.span for leaf in targets]
+    cols = tuple(max(1, (span.start_col + span.end_col) // 2
+                     + stream.randint_symmetric(strategy.jitter_cols)) for span in spans)
+    columns = (tuple(range(0, n_fixations * FIXATION_STEP_MS, FIXATION_STEP_MS)),
+               tuple(span.start_line for span in spans), cols,
+               (FIXATION_DURATION_MS,) * n_fixations)
     rec_id = recording_id or f"sim_{strategy.name}_{strategy.seed}"
-    return Recording(recording_id=rec_id, fixations=fixations)
+    return Recording._from_columns(rec_id, "grid", columns)

@@ -15,7 +15,9 @@ matrix paths, one ``_nearest`` call per row. The fallback-vector oracle steps
 the scalar splitmix64 generator once per component, and the table-row oracle is
 ``load_table``'s former per-component ``float()`` loop. The fixation reader
 oracle is ``read_fixations``'s former row loop, which builds one
-``Fixation`` per row, and the FNV oracle is ``fnv1a64``'s former two
+``Fixation`` per row; the simulator oracle is ``simulate``'s former body,
+which builds one ``Fixation`` and one ``GridPos`` per fixation and hands
+the list to ``Recording``; and the FNV oracle is ``fnv1a64``'s former two
 statements per byte. The content-hash oracle is ``content_hash`` as it was
 before its segment memo: one joined string through the FNV oracle. The tokenizer and parser oracles are ``tokenize`` and
 the parser as they were when every token carried its own ``SourceSpan``.
@@ -53,6 +55,7 @@ from eye2vec.errors import (
     InsufficientData,
     InvalidK,
     LexError,
+    NoIdentifiers,
     ParseError,
     ZeroVectorError,
 )
@@ -83,6 +86,13 @@ from eye2vec.minilang import (
     tree_facts,
 )
 from eye2vec.pathctx import PathContext, context_between
+from eye2vec.simulator import (
+    FIXATION_DURATION_MS,
+    FIXATION_STEP_MS,
+    MAX_FIXATIONS,
+    Strategy,
+    _declared_identifiers,
+)
 
 UP = "↑"
 DOWN = "↓"
@@ -540,6 +550,55 @@ def oracle_read_fixations(path: str | Path, mode: str) -> Recording:
             position = GridPos(line, col)
         fixations.append(Fixation(timestamp, duration, position))
     return Recording(recording_id=path.stem, fixations=fixations)
+
+
+def _oracle_midpoint(leaf: LeafToken) -> GridPos:
+    span = leaf.span
+    return GridPos(span.start_line, (span.start_col + span.end_col) // 2)
+
+
+def oracle_simulate(
+    root: AstNode, strategy: Strategy, n_fixations: int, recording_id: str | None = None
+) -> Recording:
+    """``simulate`` as it was when it built one ``Fixation`` per fixation."""
+    if n_fixations < 2:
+        raise ValueError("n_fixations must be >= 2")
+    if n_fixations > MAX_FIXATIONS:
+        raise ValueError(f"n_fixations must be at most {MAX_FIXATIONS}")
+    facts = tree_facts(root)
+    leaf_list = facts.leaves
+    if len(leaf_list) < 2:
+        raise ValueError("program must have at least 2 leaves")
+    stream = SplitMix64(strategy.seed)
+
+    targets: list[LeafToken] = []
+    if strategy.name == "linear":
+        for i in range(n_fixations):
+            targets.append(leaf_list[i % len(leaf_list)])
+    else:
+        pairs = _declared_identifiers(leaf_list, facts.parents)
+        if not pairs:
+            raise NoIdentifiers("no declared identifier is used again later")
+        order = list(range(len(pairs)))
+        stream.shuffle(order)
+        position = 0
+        while len(targets) < n_fixations:
+            decl, uses = pairs[order[position % len(order)]]
+            position += 1
+            targets.append(decl)
+            if len(targets) >= n_fixations:
+                break
+            targets.append(uses[stream.randint(len(uses))])
+
+    fixations = []
+    for i, leaf in enumerate(targets):
+        pos = _oracle_midpoint(leaf)
+        col = max(1, pos.col + stream.randint_symmetric(strategy.jitter_cols))
+        fixations.append(
+            Fixation(i * FIXATION_STEP_MS, FIXATION_DURATION_MS, GridPos(pos.line, col))
+        )
+    rec_id = recording_id or f"sim_{strategy.name}_{strategy.seed}"
+    return Recording(recording_id=rec_id, fixations=fixations)
 
 
 # The tokenizer and parser as they were when every token carried its own

@@ -272,9 +272,37 @@ class TestReadLabels:
             read_labels(path)
 
 
+_BAD_ID = "^recording_id must be a nonempty string$"
+
+
 def test_recording_requires_id():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match=_BAD_ID):
         Recording("")
+
+
+@pytest.mark.parametrize("recording_id, fixations", [
+    (7, [Fixation(0, 10, GridPos(1, 2))]),
+    (7, [Fixation(0, 10, PixelPos(1.5, 2.5))]),
+    (("a",), []),
+    (None, []),
+    (b"r", []),
+])
+def test_recording_id_must_be_a_nonempty_string(recording_id, fixations):
+    with pytest.raises(TypeError, match=_BAD_ID):
+        Recording(recording_id, fixations)
+
+
+@pytest.mark.parametrize("recording_id", ["", 7, ("a",), None])
+def test_recording_from_columns_checks_its_id(recording_id):
+    with pytest.raises(TypeError, match=_BAD_ID):
+        Recording._from_columns(recording_id, "grid", ((0,), (1,), (2,), (10,)))
+
+
+def test_recording_from_columns_matches_the_fixation_list():
+    fixations = [Fixation(0, 10, PixelPos(1.5, 2.0)), Fixation(5, 20, PixelPos(3.0, 4.25))]
+    made = Recording._from_columns("r", "pixel", ((0, 5), (1.5, 3.0), (2.0, 4.25), (10, 20)))
+    assert vars(made) == vars(Recording("r", fixations))
+    assert made.fixations == fixations
 
 
 class TestRecordingColumns:

@@ -4,7 +4,8 @@ from eye2vec.errors import NoIdentifiers
 from eye2vec.gaze import write_fixations
 from eye2vec.linker import LinkOptions, build_profile, map_fixation
 from eye2vec.minilang import leaves, parse
-from eye2vec.simulator import MAX_FIXATIONS, Strategy, simulate
+from eye2vec.simulator import MAX_FIXATIONS, STRATEGY_NAMES, Strategy, simulate
+from oracles import oracle_simulate
 
 
 class TestLinear:
@@ -120,3 +121,34 @@ class TestValidation:
     def test_needs_two_leaves(self):
         with pytest.raises(ValueError):
             simulate(parse("class A { }"), Strategy("linear", 0, 0), 5)
+
+    @pytest.mark.parametrize("field", ["jitter_cols", "seed"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_jitter_and_seed_must_be_integers(self, field, value):
+        # a jitter of 1.5 once gave a grid recording with cols such as 10.5,
+        # which write_fixations wrote and read_fixations then refused
+        message = f"^{field} must be an integer, not {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            Strategy("linear", **{field: value})
+
+
+class TestAgainstOracle:
+    """``simulate`` writes columns; the oracle builds one ``Fixation`` per
+    fixation and transposes them through ``Recording``."""
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @pytest.mark.parametrize("jitter", [0, 1, 2, 3])
+    def test_same_recording_and_csv_as_the_oracle(self, sample_roots, tmp_path, name, jitter):
+        for program, root in sample_roots.items():
+            for seed in (0, 1, 17, 2**64 - 1):
+                for n in (2, 3, 40, 41, 301):
+                    strategy = Strategy(name, jitter, seed)
+                    for recording_id in (None, program):
+                        got = simulate(root, strategy, n, recording_id)
+                        want = oracle_simulate(root, strategy, n, recording_id)
+                        assert (got.recording_id, got.mode, got.columns) == (
+                            want.recording_id, want.mode, want.columns)
+                    write_fixations(got, tmp_path / "got.csv")
+                    write_fixations(want, tmp_path / "want.csv")
+                    assert (tmp_path / "got.csv").read_bytes() == (
+                        tmp_path / "want.csv").read_bytes()
