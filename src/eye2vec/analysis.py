@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .compressor import EyeVector
-from .errors import DimMismatch, EmptyClass, InsufficientData, InvalidK, ZeroVectorError
+from .errors import DimMismatch, EmptyClass, InsufficientData, InvalidK, ZeroVectorError, _check_int
 from .hashing import SplitMix64
 
 MAX_ITERS = 100
@@ -192,6 +192,8 @@ def kmeans(vectors, k: int, seed: int) -> list[int]:
     point farthest from its centroid (smallest index among ties), by exact
     differences. Assignments are deterministic given the inputs and seed.
     """
+    _check_int("k", k)
+    _check_int("seed", seed)
     rows = list(vectors)
     data = _stack(rows) if rows else np.empty((0, 0))
     if data.ndim != 2:

@@ -27,8 +27,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, _context_parts
-from .errors import (EmptyProfileError, FormatError, ZeroVectorError, _Memo,
+from .embeddings import EmbeddingTable, _context_parts, _frozen
+from .errors import (EmptyProfileError, FormatError, ZeroVectorError, _Memo, _check_int,
                      _check_recording_id, _read_input)
 from .linker import TransitionProfile
 
@@ -40,8 +40,10 @@ _read_memo = _Memo(_READ_MEMO_CHARS)  # SHA-256 of a text -> its vector
 @dataclass(frozen=True)
 class EyeVector:
     """One recording's eye vector. It is checked where it is made and cannot
-    be changed after: ``values`` is a read-only array and ``meta`` a
-    read-only mapping of the vector's own."""
+    be changed after: ``values`` is a read-only array that shares no
+    writeable memory with the caller (a view is copied, an array that owns
+    its memory is made read-only in place) and ``meta`` a read-only mapping
+    of the vector's own."""
 
     recording_id: str
     dim: int
@@ -51,8 +53,7 @@ class EyeVector:
 
     def __post_init__(self) -> None:
         _check_recording_id(self.recording_id)
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
-            raise TypeError(f"dim must be an integer, not {type(self.dim).__name__}")
+        _check_int("dim", self.dim)
         if not isinstance(self.normalized, bool):
             raise TypeError(f"normalized must be a boolean, not {type(self.normalized).__name__}")
         values = np.asarray(self.values, dtype=np.float64)
@@ -62,8 +63,7 @@ class EyeVector:
             raise ValueError("values must be finite")
         if self.normalized and abs(float(np.linalg.norm(values)) - 1.0) > 1e-9:
             raise ValueError("vector is marked normalized but its L2 norm is not 1")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     def __reduce__(self):

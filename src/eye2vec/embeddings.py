@@ -6,12 +6,15 @@ pretrained export. Keys are namespaced ``tok:<text>`` and
 ``path:<encoding>``.
 
 An ``EmbeddingTable`` is frozen: its ``dim`` (1 to ``MAX_DIM``) and
-``fallback_seed`` are checked once, where it is made, and cannot be
-reassigned; ``dataclasses.replace`` makes a new table. Each table keeps
-its entries in a dict of its own, never the one it was given, and shows
-them only as a read-only ``entries`` mapping, so every entry is one that
-passed the checks. A fallback vector's splitmix64 stream is generated as
-one ``np.uint64`` array; it never enters ``entries``.
+``fallback_seed`` are checked once, where it is made, by the integer rule
+``errors._check_int``, and cannot be reassigned; ``dataclasses.replace``
+makes a new table. Each table keeps its entries in a dict of its own, never
+the one it was given, and shows them only as a read-only ``entries``
+mapping, so every entry is one that passed the checks. An entry is a
+read-only array that shares no writeable memory with the caller: a view of
+another array is copied, an array that owns its memory (a ``load_table``
+row) is made read-only in place. A fallback vector's splitmix64 stream is
+generated as one ``np.uint64`` array; it never enters ``entries``.
 
 Each table keeps one private memo: a fallback vector under its key, and a
 ``PathContext``'s three part vectors (source token, path, target token)
@@ -35,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DegenerateVector, FormatError, _Memo, _read_input
+from .errors import DegenerateVector, FormatError, _Memo, _check_int, _read_input
 from .hashing import fnv1a64, splitmix64_block
 from .pathctx import PathContext
 
@@ -49,15 +52,15 @@ _NAMESPACES = ("tok:", "path:")  # every key starts with one of these
 _MEMO_FLOATS = 2**21  # a table memo's budget, 3 * dim floats an entry (16 MiB)
 
 
-def check_dim(dim: int) -> None:
-    """Raise ``TypeError`` unless ``dim`` is an ``int`` (not a ``bool``), and
-    ``ValueError`` unless ``1 <= dim <= MAX_DIM``."""
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise TypeError(f"dim must be an integer, not {type(dim).__name__}")
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if dim > MAX_DIM:
-        raise ValueError(f"dim must be at most {MAX_DIM}")
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, copied first if it is a view of memory it does
+    not own, so the result shares no writeable memory with the caller. An
+    array that owns its memory is not copied; a view of it taken before
+    this call stays writeable, which numpy gives no way to detect."""
+    if not arr.flags.owndata:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)  # entries are arrays: compare and hash by identity
@@ -69,15 +72,15 @@ class EmbeddingTable:
     _memo: _Memo = field(default_factory=lambda: _Memo(_MEMO_FLOATS), init=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_dim(self.dim)
+        _check_int("dim", self.dim, 1, MAX_DIM)
+        _check_int("fallback_seed", self.fallback_seed)
         object.__setattr__(self, "fallback_seed", self.fallback_seed & 0xFFFFFFFFFFFFFFFF)
         entries = {}
         for key, vec in self.entries.items():
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (self.dim,) or not np.all(np.isfinite(arr)):
                 raise ValueError(f"entry {key!r} is not a finite vector of length {self.dim}")
-            arr.flags.writeable = False
-            entries[key] = arr
+            entries[key] = _frozen(arr)
         object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def __reduce__(self):
@@ -128,7 +131,8 @@ def load_table(path: str | Path) -> EmbeddingTable:
 
 def fallback_vector(key: str, dim: int, fallback_seed: int) -> np.ndarray:
     """Deterministic unit vector for a key absent from the table."""
-    check_dim(dim)
+    _check_int("dim", dim, 1, MAX_DIM)
+    _check_int("fallback_seed", fallback_seed)
     # The float operations of 2.0 * SplitMix64.next_float01() - 1.0, in the
     # same order, so every component has the same bits.
     top53 = splitmix64_block(fnv1a64(key) ^ fallback_seed, dim) >> np.uint64(11)

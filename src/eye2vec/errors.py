@@ -1,7 +1,13 @@
 """Exception types shared across the eye2vec pipeline, the one reader of
-input files, which bounds their size, the one check of a recording id, and
-the one bounded memo type that every stop-when-full memo of the package is
-made of."""
+input files, which bounds their size, the one check of a recording id, the
+one integer rule, and the one bounded memo type that every stop-when-full
+memo of the package is made of.
+
+The integer rule: every integer a caller passes (a dimension, a seed, a
+count, a tolerance, a cap) is checked once, where it enters, by
+``_check_int``. It must be an ``int`` and not a ``bool``, so a float, a
+numpy integer or a numeric string raises ``TypeError``, and it must lie in
+the parameter's range, else ``ValueError``."""
 
 from __future__ import annotations
 
@@ -131,6 +137,19 @@ def _check_recording_id(recording_id: object) -> None:
     ``EyeVector``, each checked where it is made."""
     if not isinstance(recording_id, str) or not recording_id:
         raise TypeError("recording_id must be a nonempty string")
+
+
+def _check_int(name: str, value: object, minimum: int | None = None,
+               maximum: int | None = None) -> None:
+    """Raise ``TypeError(f"{name} must be an integer, not {type}")`` unless
+    ``value`` is an ``int`` and not a ``bool``, and ``ValueError`` if it lies
+    below ``minimum`` or above ``maximum`` (``None``: no bound)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}")
 
 
 class _Memo(dict):

@@ -35,7 +35,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Literal
 
-from .errors import _Memo, _check_recording_id
+from .errors import _Memo, _check_int, _check_recording_id
 from .gaze import Fixation, GridPos, Recording
 from .hashing import fnv1a64
 from .minilang import _LineIndex, AstNode, LeafToken, tree_facts
@@ -75,8 +75,7 @@ class LinkOptions:
     chain: Literal["skip", "strict"] = "skip"
 
     def __post_init__(self) -> None:
-        if self.snap_tol_cols < 0:
-            raise ValueError("snap_tol_cols must be >= 0")
+        _check_int("snap_tol_cols", self.snap_tol_cols, 0)
         if self.self_transitions not in ("keep", "drop"):
             raise ValueError("self_transitions must be 'keep' or 'drop'")
         if self.chain not in ("skip", "strict"):
@@ -170,8 +169,7 @@ def map_fixation(
     within ``snap_tol_cols`` columns is used (ties toward the leaf with the
     smaller start column); otherwise the fixation is dropped.
     """
-    if snap_tol_cols < 0:
-        raise ValueError("snap_tol_cols must be >= 0")
+    _check_int("snap_tol_cols", snap_tol_cols, 0)
     pos = fixation.position
     if not isinstance(pos, GridPos):
         raise TypeError(_NOT_GRID)

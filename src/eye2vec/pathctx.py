@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import NotALeaf, SameLeaf
+from .errors import NotALeaf, SameLeaf, _check_int
 from .hashing import fnv1a64
 from .minilang import AstNode, Child, LeafToken, tree_facts
 
@@ -100,8 +100,8 @@ def all_path_contexts(
     ``max_length`` bounds the number of nodes on the path and ``max_width``
     the leaf-index distance; either cap is disabled by passing 0.
     """
-    if max_length < 0 or max_width < 0:
-        raise ValueError("caps must be >= 0 (0 disables the cap)")
+    _check_int("max_length", max_length, 0)
+    _check_int("max_width", max_width, 0)
     return list(_iter_path_contexts(root, max_length, max_width))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoIdentifiers
+from .errors import NoIdentifiers, _check_int
 from .gaze import Recording
 from .hashing import SplitMix64
 from .minilang import AstNode, Child, LeafToken, tree_facts
@@ -39,12 +39,8 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.name not in STRATEGY_NAMES:
             raise ValueError(f"strategy must be one of {STRATEGY_NAMES}, got {self.name!r}")
-        for name in ("jitter_cols", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-        if self.jitter_cols < 0:
-            raise ValueError("jitter_cols must be >= 0")
+        _check_int("jitter_cols", self.jitter_cols, 0)
+        _check_int("seed", self.seed)
 
 
 def _declared_identifiers(
@@ -76,12 +72,11 @@ def simulate(
     column of its span. Timestamps advance 250 ms per fixation with a fixed
     200 ms duration; columns are jittered uniformly within
     ``strategy.jitter_cols``, one draw per fixation in order, and kept at
-    least 1.
+    least 1. The recording is named ``recording_id``, or
+    ``sim_<strategy>_<seed>`` when that is ``None``; any other id is
+    checked by ``Recording``.
     """
-    if n_fixations < 2:
-        raise ValueError("n_fixations must be >= 2")
-    if n_fixations > MAX_FIXATIONS:
-        raise ValueError(f"n_fixations must be at most {MAX_FIXATIONS}")
+    _check_int("n_fixations", n_fixations, 2, MAX_FIXATIONS)
     facts = tree_facts(root)
     leaf_list = facts.leaves
     if len(leaf_list) < 2:
@@ -113,5 +108,6 @@ def simulate(
     columns = (tuple(range(0, n_fixations * FIXATION_STEP_MS, FIXATION_STEP_MS)),
                tuple(span.start_line for span in spans), cols,
                (FIXATION_DURATION_MS,) * n_fixations)
-    rec_id = recording_id or f"sim_{strategy.name}_{strategy.seed}"
-    return Recording._from_columns(rec_id, "grid", columns)
+    if recording_id is None:
+        recording_id = f"sim_{strategy.name}_{strategy.seed}"
+    return Recording._from_columns(recording_id, "grid", columns)

@@ -239,6 +239,17 @@ class TestEyeVectorValue:
         given["source"] = "t"
         assert dict(vector.meta) == {"source": "s"}
 
+    def test_a_view_is_copied_and_an_owned_array_frozen_in_place(self):
+        base = np.full((2, 4), 0.5)
+        vector = EyeVector("r", 4, base[0], True, {})
+        base[0, 0] = np.nan  # the caller can still write the memory of its view
+        assert vector.values.tolist() == [0.5] * 4
+        assert not np.shares_memory(vector.values, base)
+        assert base.flags.writeable
+        owned = np.full(4, 0.5)
+        assert EyeVector("r", 4, owned, True, {}).values is owned
+        assert not owned.flags.writeable
+
     def test_profile_without_id_not_compressed(self, two_context_table):
         with pytest.raises(TypeError, match="recording_id"):
             compress(TransitionProfile("", {CTX_AB: 1}), two_context_table)

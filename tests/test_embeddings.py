@@ -373,6 +373,16 @@ class TestEntriesDict:
         assert list(other.entries) == ["tok:a"]
         assert lookup(other, "tok:b").tobytes() == fallback_vector("tok:b", 2, 7).tobytes()
 
+    def test_a_view_is_copied_and_an_owned_array_frozen_in_place(self):
+        base = np.ones((2, 3))
+        owned = np.full(3, 0.5)
+        table = EmbeddingTable(3, {"tok:a": base[0], "tok:b": owned})
+        base[0, 0] = np.nan  # the caller can still write the memory of its view
+        assert lookup(table, "tok:a").tolist() == [1.0, 1.0, 1.0]
+        assert not np.shares_memory(table.entries["tok:a"], base)
+        assert base.flags.writeable
+        assert table.entries["tok:b"] is owned and not owned.flags.writeable
+
 
 class TestContextVector:
     def test_concatenation_of_stored_vectors(self, tmp_path):

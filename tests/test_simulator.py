@@ -122,6 +122,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate(parse("class A { }"), Strategy("linear", 0, 0), 5)
 
+    def test_an_empty_id_is_refused_not_replaced(self, accumulator_root):
+        # the default id is used only when none is given
+        with pytest.raises(TypeError, match="^recording_id must be a nonempty string$"):
+            simulate(accumulator_root, Strategy("linear"), 4, recording_id="")
+        assert simulate(accumulator_root, Strategy("linear"), 4).recording_id == "sim_linear_0"
+
     @pytest.mark.parametrize("field", ["jitter_cols", "seed"])
     @pytest.mark.parametrize("value", [1.5, True])
     def test_jitter_and_seed_must_be_integers(self, field, value):
